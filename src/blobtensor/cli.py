@@ -153,6 +153,7 @@ def cmd_adjointness(args):
                         and primal["matches_expected"]
                         and primal["spans_agree"]
                         and primal["quotient_scalars_match"]
+                        and primal["decorated_residual_ok"]
                         and (primal["surjective"] or primal["codim"] == 1)
                         and dual["dual_tests_agree"])
             ok = ok and point_ok

@@ -167,27 +167,8 @@ def mat_mul(a, b):
     return [mat_vec(a, col) for col in b]
 
 
-def mat_add(a, b):
-    out = []
-    for ca, cb in zip(a, b):
-        col = dict(ca)
-        for i, x in cb.items():
-            cur = col.get(i)
-            s = (cur + x) if cur is not None else x
-            if s.is_zero():
-                col.pop(i, None)
-            else:
-                col[i] = s
-        out.append(col)
-    return out
-
-
 def mat_scale(a, c):
     return [vec_scale(col, c) for col in a]
-
-
-def mat_sub(a, b):
-    return [vec_sub(ca, cb) for ca, cb in zip(a, b)]
 
 
 def mat_sub_scalar_diag(a, c):
@@ -219,14 +200,6 @@ def mat_transpose(a, nrows):
         for i, x in col.items():
             out[i][j] = x
     return out
-
-
-def mat_rank(a):
-    return span_rank(a)
-
-
-def mat_commutator_is_zero(a, b):
-    return mat_eq(mat_mul(a, b), mat_mul(b, a))
 
 
 # ---------------------------------------------------------------------------
@@ -288,11 +261,4 @@ def invariant_closure(seed_vectors, matrices):
                 if span.insert(w):
                     new_frontier.append(w)
         frontier = new_frontier
-    return span
-
-
-def column_space(cols):
-    span = SpanSolver()
-    for col in cols:
-        span.insert(col)
     return span

@@ -489,44 +489,24 @@ class CycScalar:
     __rmul__ = __mul__
 
     def inv(self):
+        """Inverse by the Galois norm, in integers only.
+
+        With a = num/den and sigma_k the automorphism q -> q^k of
+        Q[q]/Phi_l(q), the conjugate product P = prod_{k in (Z/l)*, k != 1}
+        sigma_k(num) satisfies num * P = N(num), the field norm, a nonzero
+        rational integer.  Hence a^-1 = den * P / N(num)."""
         if self.is_zero():
             raise ZeroDivisionError("inverting zero scalar")
         f = self.field
-        # extended euclid over Q[x] for (num, phi); gcd is a nonzero constant
-        a = [Fraction(c) for c in f.phi]
-        b = [Fraction(c) for c in self.num]
-        sa, sb = [], [Fraction(1)]
-        while True:
-            while b and not b[-1]:
-                b.pop()
-            if len(b) == 1:
-                break
-            # a = q*b + r
-            r = list(a)
-            qpoly = [Fraction(0)] * (len(a) - len(b) + 1)
-            for k in range(len(a) - len(b), -1, -1):
-                t = r[k + len(b) - 1] / b[-1]
-                qpoly[k] = t
-                if t:
-                    for j, c in enumerate(b):
-                        r[k + j] -= t * c
-            r = r[: len(b) - 1]
-            # s_r = sa - q*sb
-            sr = list(sa) + [Fraction(0)] * max(
-                0, len(qpoly) + len(sb) - 1 - len(sa))
-            for i, qc in enumerate(qpoly):
-                if qc:
-                    for j, sc in enumerate(sb):
-                        sr[i + j] -= qc * sc
-            a, b = b, r
-            sa, sb = sb, sr
-        c = b[0]
-        # value = num/den, and sb * num = c mod phi, so 1/value = den * sb / c
-        coeffs = [s * self.den / c for s in sb[: f.deg]]
-        coeffs += [Fraction(0)] * (f.deg - len(coeffs))
-        lcm = reduce(lambda x, y: x * y.denominator // math.gcd(x, y.denominator),
-                     coeffs, 1)
-        return f._make([int(x * lcm) for x in coeffs], lcm)
+        others = f.units[1:]
+        conj = f._galois(self.num, others[0])
+        for k in others[1:]:
+            conj = conj * f._galois(self.num, k)
+        norm = CycScalar(f, self.num, 1) * conj
+        if any(norm.num[1:]):
+            raise ArithmeticError(
+                f"Galois norm of {self!r} is not a rational constant")
+        return f._make([x * self.den for x in conj.num], norm.num[0])
 
     def __truediv__(self, other):
         o = self._coerce(other)
@@ -599,6 +579,19 @@ class CyclotomicField:
         for _ in range(1, l):
             pw.append(pw[-1] * self.q)
         self._qpow = pw
+        # (Z/l)*: k indexes the Galois automorphism q -> q^k
+        self.units = [k for k in range(1, l) if math.gcd(k, l) == 1]
+
+    def _galois(self, num, k):
+        """sigma_k(num) for the automorphism q -> q^k; num is an integer
+        coefficient vector, and so is the result (denominator 1)."""
+        out = [0] * self.deg
+        for i, c in enumerate(num):
+            if c:
+                for j, r in enumerate(self._qpow[(i * k) % self.l].num):
+                    if r:
+                        out[j] += c * r
+        return CycScalar(self, tuple(out), 1)
 
     def _make(self, num, den):
         if den == 0:
@@ -775,8 +768,6 @@ class FieldContext:
         return FieldContext(self.field, self.q, self.lam2, self.lam1)
 
     def q_pow(self, e):
-        if isinstance(self.field, GenericField):
-            return self.field.q_pow(e)
         return self.field.q_pow(e)
 
     def gauss(self, k):

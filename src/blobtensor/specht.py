@@ -184,15 +184,6 @@ class MatrixRep:
         return [self.U(i) for i in range(self.n)]
 
 
-def weight_module_rep(n, lam, ctx):
-    """M_n(lam) packaged as a MatrixRep (X = U_0 + lam1, g_i = U_{i} + q)."""
-    module = _weight_module(n, lam, ctx)
-    x = mat_sub_scalar_diag(module.U[0], -ctx.lam1)
-    g = {i: mat_sub_scalar_diag(module.U[i], -ctx.q)
-         for i in range(1, n)}
-    return MatrixRep(tuple(module.basis), x, g, ctx)
-
-
 def dualize(rep):
     """Contragredient dual: same labels, every generator matrix transposed."""
     return MatrixRep(rep.labels,

@@ -332,16 +332,6 @@ def _check_zero(name, op, words):
     return RelationCheck(name, bad is None, bad)
 
 
-def _weight_matrices(ops, n):
-    """Dense-oracle data: matrices of each operator on every weight subspace.
-    Returns a list (one entry per weight) of lists of column matrices."""
-    blocks = []
-    for ones in range(n + 1):
-        basis = weight_words(n, ones)
-        blocks.append([op.matrix(basis) for op in ops])
-    return blocks
-
-
 def verify_ariki_koike(n, params):
     """Check the defining relations on every basis word of V^(x)n, twice:
     once by lazy rule composition, once by dense products on each weight

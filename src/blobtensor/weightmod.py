@@ -399,7 +399,9 @@ def _adjointness_surjective(n, lam, ctx):
     module = _weight_module(n, lam, ctx)
     i1, i2 = _image_family(n, label, ctx)
     span = SpanSolver()
-    family_coords = [module.coords(v) for v in i1 + i2]
+    # the rank does not depend on the order, but the fill-in does: the
+    # two-term I2 vectors go in before the dense I1 vectors
+    family_coords = [module.coords(v) for v in i2 + i1]
     for v in family_coords:
         span.insert(v)
     # closure of eM = span{w 12-underline} under all generators
@@ -478,11 +480,8 @@ def _adjointness_injective(n, lam, ctx):
     shifted = vec_sub(module.coords(dec),
                       vec_scale(unit, _special_scalar(label, ctx)))
     decorated_ok = span.contains(shifted)
-    full = SpanSolver()
-    for v in tl:
-        full.insert(module.coords(v))
-    full.insert(module.coords(dec))
-    return InjectivityResult(n, lam, module.dim, len(tl) + 1, full.rank,
+    span.insert(module.coords(dec))
+    return InjectivityResult(n, lam, module.dim, len(tl) + 1, span.rank,
                              decorated_ok and tl_rank == len(tl))
 
 

@@ -102,6 +102,32 @@ def test_adjointness_report(tmp_path):
         assert key in rec
 
 
+def test_perturbed_special_scalar_fails_point(tmp_path, monkeypatch):
+    # negative control: the injectivity witness subtracts special * [2^n2 1^n1]
+    # from the decorated element; a wrong scalar leaves a residual outside
+    # the TL span, and that alone must fail the point
+    from blobtensor import weightmod
+
+    args = ["adjointness", "--n", "3", "--l", "5", "--m", "2",
+            "--lambda", "1", "--out", str(tmp_path / "adj.json")]
+    assert main(args) == 0
+    orig = weightmod._special_scalar
+    monkeypatch.setattr(weightmod, "_special_scalar",
+                        lambda label, ctx: orig(label, ctx) + ctx.one)
+    assert main(args) == 1
+    report = json.loads((tmp_path / "adj.json").read_text())
+    assert not report["ok"]
+    [rec] = report["results"]
+    primal = rec["primal"]
+    assert not rec["all_ok"]
+    assert not primal["decorated_residual_ok"]
+    # every other gated witness still passes
+    assert primal["special_nonzero"] and primal["four_way_agree"]
+    assert primal["matches_expected"] and primal["spans_agree"]
+    assert primal["quotient_scalars_match"] and primal["surjective"]
+    assert rec["dual"]["dual_tests_agree"]
+
+
 def test_localize_report(tmp_path):
     out = tmp_path / "loc.json"
     rc = main(["localize", "--n", "3..5", "--l", "0", "--m", "2",

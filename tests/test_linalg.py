@@ -48,7 +48,10 @@ matrices = st.lists(
 @settings(max_examples=120)
 def test_span_rank_matches_fraction_oracle(rows):
     sparse = [to_sparse(r, GENERIC) for r in rows]
-    assert span_rank(sparse) == dense_rank_fractions(rows)
+    rank = dense_rank_fractions(rows)
+    assert span_rank(sparse) == rank
+    # the rank must not depend on the insertion order
+    assert span_rank(sparse[::-1]) == rank
 
 
 @given(matrices)

@@ -131,6 +131,48 @@ def test_field_axioms_and_inverse():
     assert (F5.q + F5.one).inv() * (F5.q + F5.one) == F5.one
 
 
+cyc_elements = st.sampled_from([3, 5, 7, 9, 15]).flatmap(
+    lambda l: st.tuples(
+        st.just(l),
+        st.lists(st.integers(-6, 6), min_size=cyclotomic_field(l).deg,
+                 max_size=cyclotomic_field(l).deg),
+        st.integers(1, 12)))
+
+
+@given(cyc_elements)
+@settings(max_examples=150, deadline=None)
+def test_cyclotomic_inverse_matches_sympy(elem):
+    # independent oracle: sympy's extended Euclid modulo Phi_l
+    import sympy
+
+    l, num, den = elem
+    F = cyclotomic_field(l)
+    x = F._make(list(num), den)
+    if x.is_zero():
+        with pytest.raises(ZeroDivisionError):
+            x.inv()
+        return
+    q = sympy.Symbol("q")
+    a = sum(sympy.Rational(c, den) * q ** i for i, c in enumerate(num))
+    oracle = sympy.Poly(sympy.invert(a, sympy.cyclotomic_poly(l, q)), q)
+    coeffs = [Fraction(int(c.p), int(c.q)) for c in oracle.all_coeffs()[::-1]]
+    coeffs += [Fraction(0)] * (F.deg - len(coeffs))
+    y = x.inv()
+    assert [Fraction(c, y.den) for c in y.num] == coeffs
+
+
+def test_cyclotomic_inverse_rejects_wrong_conjugates(monkeypatch):
+    # negative control: with sigma_k replaced by the identity the conjugate
+    # product is no longer the norm cofactor, and inv must refuse
+    from blobtensor.scalars import CycScalar
+
+    F = cyclotomic_field(5)
+    monkeypatch.setattr(F, "_galois",
+                        lambda num, k: CycScalar(F, tuple(num), 1))
+    with pytest.raises(ArithmeticError):
+        (F.q + F.from_int(2)).inv()
+
+
 def test_cross_backend_equality_is_type_error():
     F5 = cyclotomic_field(5)
     with pytest.raises(TypeError):
