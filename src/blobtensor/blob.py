@@ -20,11 +20,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .linalg import (mat_eq, mat_is_zero, mat_mul, mat_scale,
-                     mat_sub_scalar_diag, vec_scale)
+from .linalg import vec_scale
+from .relations import (ZERO, Relation, ariki_koike_relations, blob_identity,
+                        blob_relations, commute, evaluate, product)
 from .scalars import context
-from .tensor import (RelationCheck, _check_equal, _check_zero, all_words,
-                     op_T_ctx, op_X_ctx, ops_Xk_ctx, weight_words)
+from .tensor import op_T_ctx, op_X_ctx, ops_Xk_ctx, weight_blocks
 
 
 @dataclass(frozen=True)
@@ -91,152 +91,58 @@ def apply_word(word, v, action):
 # relation checks
 # ---------------------------------------------------------------------------
 
-def _blob_scalars(ctx):
-    """([2], [m], [m-1]) written in terms of (q, lam1, lam2)."""
-    two = ctx.q + ctx.qinv
-    m = ctx.lam1 - ctx.lam2
-    m1 = ctx.qinv * ctx.lam1 - ctx.q * ctx.lam2
-    return two, m, m1
-
-
 def verify_blob_relations(n, params):
-    return verify_blob_relations_ctx(n, context(params))
-
-
-def verify_blob_relations_ctx(n, ctx):
     """Check every defining relation of the blob algebra on every basis word
-    of V^(x)n (lazily), then re-check them as dense matrix identities on each
-    weight subspace."""
-    if n < 2:
-        raise ValueError("blob relation suite needs n >= 2")
-    action = BlobAction(n, ctx)
-    words = all_words(n)
-    two, m, m1 = _blob_scalars(ctx)
-    U = [action.generator(i) for i in range(n)]
-
-    lazy = {}
-    lazy["squared(U0)"] = _check_equal(
-        "squared(U0)", U[0] @ U[0], (-m) * U[0], words)
-    for i in range(1, n):
-        lazy[f"squared(U{i})"] = _check_equal(
-            f"squared(U{i})", U[i] @ U[i], (-two) * U[i], words)
-    for i in range(1, n - 1):
-        lazy[f"tl(U{i},U{i + 1})"] = _check_equal(
-            f"tl(U{i},U{i + 1})", U[i] @ U[i + 1] @ U[i], U[i], words)
-        lazy[f"tl(U{i + 1},U{i})"] = _check_equal(
-            f"tl(U{i + 1},U{i})", U[i + 1] @ U[i] @ U[i + 1], U[i + 1], words)
-    lazy["blob(U1,U0,U1)"] = _check_equal(
-        "blob(U1,U0,U1)", U[1] @ U[0] @ U[1], m1 * U[1], words)
-    for i in range(n):
-        for j in range(i + 2, n):
-            lazy[f"commute(U{i},U{j})"] = _check_equal(
-                f"commute(U{i},U{j})", U[i] @ U[j], U[j] @ U[i], words)
-
-    dense_fail = set()
-    for ones in range(n + 1):
-        basis = weight_words(n, ones)
-        um = [u.matrix(basis) for u in U]
-        for name, ok in blob_relation_checks_matrices(um, ctx):
-            if not ok:
-                dense_fail.add(name)
-
-    return [RelationCheck(c.name, c.ok and c.name not in dense_fail,
-                          c.first_failure)
-            for c in lazy.values()]
+    of V^(x)n, through the matrices on each weight block; n = 1 has only
+    U0."""
+    action = BlobAction.from_params(params, n)
+    ops = [action.generator(i) for i in range(n)]
+    return evaluate(blob_relations([op.name for op in ops], action.ctx),
+                    weight_blocks(n, ops), action.ctx.one)
 
 
 def blob_relation_checks_matrices(um, ctx):
     """Blob relations as matrix identities for generator matrices um[0..n-1];
     returns (name, ok) pairs.  Reused for weight modules, duals and
     transported representations."""
-    n = len(um)
-    two, m, m1 = _blob_scalars(ctx)
-    out = []
-    out.append(("squared(U0)",
-                mat_eq(mat_mul(um[0], um[0]), mat_scale(um[0], -m))))
-    for i in range(1, n):
-        out.append((f"squared(U{i})",
-                    mat_eq(mat_mul(um[i], um[i]), mat_scale(um[i], -two))))
-    for i in range(1, n - 1):
-        out.append((f"tl(U{i},U{i + 1})",
-                    mat_eq(mat_mul(um[i], mat_mul(um[i + 1], um[i])), um[i])))
-        out.append((f"tl(U{i + 1},U{i})",
-                    mat_eq(mat_mul(um[i + 1], mat_mul(um[i], um[i + 1])),
-                           um[i + 1])))
-    out.append(("blob(U1,U0,U1)",
-                mat_eq(mat_mul(um[1], mat_mul(um[0], um[1])),
-                       mat_scale(um[1], m1))))
-    for i in range(n):
-        for j in range(i + 2, n):
-            out.append((f"commute(U{i},U{j})",
-                        mat_eq(mat_mul(um[i], um[j]), mat_mul(um[j], um[i]))))
-    return out
+    mats = {f"U{i}": u for i, u in enumerate(um)}
+    checks = evaluate(blob_relations(list(mats), ctx),
+                      [(range(len(um[0])), mats)], ctx.one)
+    return [(c.name, c.ok) for c in checks]
 
 
 def ariki_koike_checks_matrices(xm, gm, ctx):
-    """Ariki-Koike relations as matrix identities: gm maps i -> matrix of g_i
-    (i = 1..n-1), xm is the matrix of X.  Returns (name, ok) pairs."""
-    out = []
-    idx = sorted(gm)
-    for i in idx:
-        out.append((f"quadratic(g{i})", mat_is_zero(mat_mul(
-            mat_sub_scalar_diag(gm[i], ctx.q),
-            mat_sub_scalar_diag(gm[i], -ctx.qinv)))))
-    for i in idx:
-        if i + 1 in gm:
-            out.append((f"braid(g{i},g{i + 1})", mat_eq(
-                mat_mul(gm[i], mat_mul(gm[i + 1], gm[i])),
-                mat_mul(gm[i + 1], mat_mul(gm[i], gm[i + 1])))))
-        for j in idx:
-            if j >= i + 2:
-                out.append((f"commute(g{i},g{j})", mat_eq(
-                    mat_mul(gm[i], gm[j]), mat_mul(gm[j], gm[i]))))
-    if 1 in gm:
-        out.append(("mixed_braid(g1,X)", mat_eq(
-            mat_mul(gm[1], mat_mul(xm, mat_mul(gm[1], xm))),
-            mat_mul(xm, mat_mul(gm[1], mat_mul(xm, gm[1]))))))
-        lam12 = ctx.lam1 * ctx.lam2
-        quart = mat_sub_scalar_diag(
-            mat_mul(xm, mat_mul(gm[1], mat_mul(xm, gm[1]))), lam12)
-        out.append(("blob_identity", mat_is_zero(
-            mat_mul(quart, mat_sub_scalar_diag(gm[1], ctx.q)))))
-    for j in idx:
-        if j >= 2:
-            out.append((f"commute(X,g{j})", mat_eq(
-                mat_mul(xm, gm[j]), mat_mul(gm[j], xm))))
-    out.append(("quadratic(X)", mat_is_zero(mat_mul(
-        mat_sub_scalar_diag(xm, ctx.lam1),
-        mat_sub_scalar_diag(xm, ctx.lam2)))))
-    return out
+    """Ariki-Koike relations and the blob identity as matrix identities: gm
+    maps i -> matrix of g_i (i = 1..n-1), xm is the matrix of X.  Returns
+    (name, ok) pairs."""
+    g = {f"g{i}": gm[i] for i in sorted(gm)}
+    checks = evaluate(ariki_koike_relations(list(g), ctx),
+                      [(range(len(xm)), dict(g, X=xm))], ctx.one)
+    return [(c.name, c.ok) for c in checks]
 
 
 def verify_ideal_generators(n, params):
     """Both descriptions of the quotient ideal annihilate the tensor space:
-    (X1 X2 - lam1 lam2)(T2 - q) = 0 and (X1 + X2 - lam1 - lam2)(T2 - q) = 0."""
+    (X1 X2 - lam1 lam2)(T2 - q) = 0, which is the blob identity since
+    X2 = T2 X T2, and (X1 + X2 - lam1 - lam2)(T2 - q) = 0."""
     ctx = context(params)
-    if n < 2:
-        raise ValueError("needs n >= 2")
-    words = all_words(n)
-    X1, X2 = ops_Xk_ctx(n, ctx, 2)
-    T2 = op_T_ctx(2, n, ctx)
-    bminus = T2.minus_scalar(ctx.q)
-    prod_form = (X1 @ X2).minus_scalar(ctx.lam1 * ctx.lam2) @ bminus
-    sum_form = (X1 + X2).minus_scalar(ctx.lam1 + ctx.lam2) @ bminus
-    return [
-        _check_zero("ideal_product_form", prod_form, words),
-        _check_zero("ideal_sum_form", sum_form, words),
+    bminus = (("T2",), ctx.q)
+    rels = [
+        blob_identity("T2", ctx)._replace(name="ideal_product_form"),
+        Relation("ideal_sum_form",
+                 product((("X",), None), bminus)
+                 + product((("T2", "X", "T2"), ctx.lam1 + ctx.lam2), bminus),
+                 ZERO),
     ]
+    return evaluate(rels, weight_blocks(
+        n, [op_X_ctx(n, ctx), op_T_ctx(2, n, ctx)]), ctx.one)
 
 
 def verify_xk_commute(n, params, kmax=None):
     """The operators X_1 .. X_k commute pairwise on every basis word."""
     ctx = context(params)
     xs = ops_Xk_ctx(n, ctx, kmax)
-    words = all_words(n)
-    checks = []
-    for a in range(len(xs)):
-        for b in range(a + 1, len(xs)):
-            checks.append(_check_equal(
-                f"commute(X{a + 1},X{b + 1})",
-                xs[a] @ xs[b], xs[b] @ xs[a], words))
-    return checks
+    xs[0].name = "X1"
+    rels = [commute(a.name, b.name)
+            for i, a in enumerate(xs) for b in xs[i + 1:]]
+    return evaluate(rels, weight_blocks(n, xs), ctx.one)

@@ -1,7 +1,8 @@
 """Command-line driver: parameter grids, verification reports, goldens.
 
 Exit codes: 0 = every check passed (or was skipped with a reason),
-1 = at least one verification failed, 2 = configuration error.
+1 = at least one verification failed, or a request produced no result at
+all, 2 = configuration error.
 
 Reports are deterministic: grids iterate l ascending, then m, then n, then
 lambda; scalars serialize canonically; JSON is emitted with sorted keys.
@@ -372,9 +373,18 @@ def main(argv=None):
     except ParameterError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
+    except ArithmeticError as exc:
+        print(f"verification error: {exc}", file=sys.stderr)
+        return 1
     except (ValueError, OSError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
+    # a request that names parameters but yields neither a result nor a
+    # skip record checked nothing; an empty --l or --m list asks for nothing
+    if report is not None and "results" in report and args.l and args.m \
+            and not report["results"] and not report["skipped"]:
+        print("no grid point produced a result", file=sys.stderr)
+        report["ok"] = ok = False
     if report is not None:
         _emit(args, report)
     return 0 if ok else 1

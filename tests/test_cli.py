@@ -249,3 +249,50 @@ def test_stdout_default(capsys):
     rc = main(["triangle", "--n", "2"])
     assert rc == 0
     assert capsys.readouterr().out == "1,0\n1,1,0\n"
+
+
+def test_duality_n1_runs_existing_relations_only(tmp_path):
+    # n = 1 has no g_i and no U_1: only squared(U0) and quadratic(X) exist
+    out = tmp_path / "dual.json"
+    rc = main(["duality", "--n", "1", "--l", "0,5", "--m", "2",
+               "--out", str(out)])
+    assert rc == 0
+    report = json.loads(out.read_text())
+    assert report["ok"] and len(report["results"]) == 4
+    for rec in report["results"]:
+        names = [c["relation"] for c in rec["checks"]]
+        assert [x for x in names if x.startswith("S'_blob:")] == \
+            ["S'_blob:squared(U0)"]
+        assert [x for x in names if x.startswith("S':")] == \
+            ["S':quadratic(X)"]
+
+
+def test_no_result_and_no_skip_is_a_failure(tmp_path, capsys):
+    # lambda = 3 is not a weight of n = 4: nothing is checked
+    out = tmp_path / "res.json"
+    rc = main(["restrict", "--n", "4", "--lambda", "3", "--out", str(out)])
+    assert rc == 1
+    assert "no grid point produced a result" in capsys.readouterr().err
+    report = json.loads(out.read_text())
+    assert report["results"] == [] and report["skipped"] == []
+    assert report["ok"] is False
+
+
+def test_operator_leaving_its_block_is_a_verification_error(monkeypatch,
+                                                            capsys):
+    from blobtensor import tensor
+
+    good = tensor.op_T_ctx
+
+    def leaky(i, n, ctx):
+        op = good(i, n, ctx)
+        if i == 3:
+            op._rule = lambda w: {"1" * n: ctx.one}
+        return op
+
+    monkeypatch.setattr(tensor, "op_T_ctx", leaky)
+    rc = main(["verify-relations", "--n", "3", "--l", "0", "--m", "2"])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith("verification error: T3 leaves the basis span")
+    assert "Traceback" not in err

@@ -172,8 +172,9 @@ def test_linop_matrix_and_arith():
 
 
 def test_matrix_rejects_leaving_span():
+    # an image outside the block is a failed verification, not bad input
     X = op_X(P3)
-    with pytest.raises(ValueError):
+    with pytest.raises(ArithmeticError):
         X.matrix(["112", "121"])  # missing 211 from the weight space
 
 
