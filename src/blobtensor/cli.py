@@ -47,22 +47,26 @@ def _lambda_values(text, n):
     return [lam]
 
 
-def _param_grid(args):
-    """Yield (params, None) for valid points and (params, reason) for points
-    skipped by validation, in the deterministic l, m, n order."""
+def _param_grid(args, skipped, min_n=1):
+    """Yield the valid BlobParams of the grid in the deterministic l, m, n
+    order; append a skip record (and a stderr line) for every point that
+    fails validation, including each n below the command's `min_n`."""
     for l in sorted(args.l):
         for m in sorted(args.m):
             code = check_params(BlobParams(max(args.n), l, m))
-            if code is not None:
-                yield BlobParams(0, l, m), code
-                continue
-            if args.backend != "auto":
+            if code is None and args.backend != "auto":
                 actual = "generic" if l == 0 else "cyclotomic"
                 if actual != args.backend:
-                    yield BlobParams(0, l, m), f"backend_mismatch:{actual}"
-                    continue
+                    code = f"backend_mismatch:{actual}"
+            if code is not None:
+                _skip(skipped, BlobParams(0, l, m), code)
+                continue
             for n in sorted(args.n):
-                yield BlobParams(n, l, m), None
+                if n < min_n:
+                    _skip(skipped, BlobParams(n, l, m), "n_below_min",
+                          f"this command needs n >= {min_n}")
+                    continue
+                yield BlobParams(n, l, m)
 
 
 def _matrix_json(cols, basis, field):
@@ -96,10 +100,17 @@ def _checks_to_records(checks):
     return [c.to_record() for c in checks]
 
 
-def _skip_record(params, reason):
-    message = _PARAM_MESSAGES.get(reason, reason)
-    return {"l": params.l, "m": params.m, "reason": reason,
-            "message": message}
+def _skip(skipped, params, reason, message=None):
+    """Record a skipped point; `params.n` is 0 when a whole (l, m) pair is
+    skipped, and per-n skips also carry the n."""
+    record = {"l": params.l, "m": params.m, "reason": reason,
+              "message": message or _PARAM_MESSAGES.get(reason, reason)}
+    where = f"l={params.l} m={params.m}"
+    if params.n:
+        record["n"] = params.n
+        where += f" n={params.n}"
+    skipped.append(record)
+    print(f"skip {where}: {reason}", file=sys.stderr)
 
 
 # ---------------------------------------------------------------------------
@@ -109,11 +120,7 @@ def _skip_record(params, reason):
 def cmd_verify_relations(args):
     results, skipped = [], []
     ok = True
-    for params, skip in _param_grid(args):
-        if skip:
-            skipped.append(_skip_record(params, skip))
-            print(f"skip l={params.l} m={params.m}: {skip}", file=sys.stderr)
-            continue
+    for params in _param_grid(args, skipped, min_n=2):
         check_size(params.n, params.backend)
         checks = tensor.verify_ariki_koike(params.n, params)
         checks += tensor.verify_blob_identity(params.n, params)
@@ -137,11 +144,7 @@ def cmd_adjointness(args):
     results, skipped = [], []
     ok = True
     dual_records = []
-    for params, skip in _param_grid(args):
-        if skip:
-            skipped.append(_skip_record(params, skip))
-            print(f"skip l={params.l} m={params.m}: {skip}", file=sys.stderr)
-            continue
+    for params in _param_grid(args, skipped, min_n=3):
         check_size(params.n, params.backend)
         n = params.n
         for lam in _lambda_values(args.lam, n):
@@ -178,11 +181,7 @@ def cmd_adjointness(args):
 def cmd_localize(args):
     results, skipped = [], []
     ok = True
-    for params, skip in _param_grid(args):
-        if skip:
-            skipped.append(_skip_record(params, skip))
-            print(f"skip l={params.l} m={params.m}: {skip}", file=sys.stderr)
-            continue
+    for params in _param_grid(args, skipped):
         check_size(params.n, params.backend)
         n = params.n
         for lam in _lambda_values(args.lam, n):
@@ -206,11 +205,7 @@ def cmd_localize(args):
 def cmd_restrict(args):
     results, skipped = [], []
     ok = True
-    for params, skip in _param_grid(args):
-        if skip:
-            skipped.append(_skip_record(params, skip))
-            print(f"skip l={params.l} m={params.m}: {skip}", file=sys.stderr)
-            continue
+    for params in _param_grid(args, skipped):
         check_size(params.n, params.backend)
         n = params.n
         for lam in _lambda_values(args.lam, n):
@@ -257,11 +252,7 @@ def cmd_triangle(args):
 def cmd_duality(args):
     results, skipped = [], []
     ok = True
-    for params, skip in _param_grid(args):
-        if skip:
-            skipped.append(_skip_record(params, skip))
-            print(f"skip l={params.l} m={params.m}: {skip}", file=sys.stderr)
-            continue
+    for params in _param_grid(args, skipped):
         check_size(params.n, params.backend)
         n = params.n
         for n1 in range(0, n + 1):
@@ -291,8 +282,7 @@ def cmd_smallcase(args):
             params = BlobParams(2, l, m)
             code = check_params(params)
             if code is not None:
-                skipped.append(_skip_record(params, code))
-                print(f"skip l={l} m={m}: {code}", file=sys.stderr)
+                _skip(skipped, BlobParams(0, l, m), code)
                 continue
             checks, computed, golden = towers.verify_smallcase_matrices(
                 params)

@@ -57,6 +57,29 @@ def test_invalid_m_skip_codes(tmp_path):
     assert len(report["results"]) == 1
 
 
+def test_n_below_command_minimum_is_skipped(tmp_path, capsys):
+    # adjointness needs n >= 3: n = 2 is skipped, n = 3 and 4 still run
+    out = tmp_path / "adj.json"
+    rc = main(["adjointness", "--n", "2..4", "--l", "5", "--m", "2",
+               "--out", str(out)])
+    assert rc == 0
+    assert "skip l=5 m=2 n=2: n_below_min" in capsys.readouterr().err
+    report = json.loads(out.read_text())
+    assert report["ok"]
+    assert sorted({r["primal"]["n"] for r in report["results"]}) == [3, 4]
+    assert report["skipped"] == [{"l": 5, "m": 2, "n": 2,
+                                  "reason": "n_below_min",
+                                  "message": "this command needs n >= 3"}]
+    # the relation suite needs n >= 2
+    rc = main(["verify-relations", "--n", "1..2", "--l", "5", "--m", "2",
+               "--out", str(out)])
+    assert rc == 0
+    report = json.loads(out.read_text())
+    assert [r["n"] for r in report["results"]] == [2]
+    assert [(s["n"], s["reason"]) for s in report["skipped"]] == \
+        [(1, "n_below_min")]
+
+
 def test_empty_grid_exit_zero(capsys):
     rc = main(["verify-relations", "--n", "2", "--l", "", "--m", "2"])
     assert rc == 0
@@ -159,6 +182,7 @@ def test_restrict_wall_case(tmp_path):
     rec = json.loads(out.read_text())["results"][0]
     assert rec["splitting"]["wall"]
     assert rec["splitting"]["split"] == "undetermined"
+    assert rec["splitting"]["complement_search"] == "none"
 
 
 def test_duality_report(tmp_path):

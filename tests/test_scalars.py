@@ -2,8 +2,11 @@
 
 import doctest
 from fractions import Fraction
+from functools import reduce
+from math import gcd
 
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -159,6 +162,109 @@ def test_cyclotomic_inverse_matches_sympy(elem):
     coeffs += [Fraction(0)] * (F.deg - len(coeffs))
     y = x.inv()
     assert [Fraction(c, y.den) for c in y.num] == coeffs
+
+
+def _canonical_from_fractions(coeffs):
+    """Independent canonical form of a rational coefficient vector: integer
+    numerators over the least common positive denominator."""
+    den = 1
+    for c in coeffs:
+        den = den * c.denominator // gcd(den, c.denominator)
+    return tuple(int(c * den) for c in coeffs), den
+
+
+def _sympy_coeffs(poly, q, deg):
+    coeffs = [Fraction(int(c.p), int(c.q))
+              for c in sympy.Poly(poly, q).all_coeffs()[::-1]]
+    return coeffs + [Fraction(0)] * (deg - len(coeffs))
+
+
+small_cyc = st.sampled_from([3, 5, 7]).flatmap(
+    lambda l: st.tuples(
+        st.just(l),
+        *[st.tuples(st.lists(st.integers(-6, 6),
+                             min_size=cyclotomic_field(l).deg,
+                             max_size=cyclotomic_field(l).deg),
+                    st.integers(1, 12)) for _ in range(2)]))
+
+
+@given(small_cyc)
+@settings(max_examples=80, deadline=None)
+def test_cyclotomic_canonical_forms_match_sympy(elems):
+    # products and sums against sympy's remainder modulo Phi_l; the
+    # canonical (num, den) pair is fixed by the value, so compare it exactly
+    l, (num_a, den_a), (num_b, den_b) = elems
+    F = cyclotomic_field(l)
+    q = sympy.Symbol("q")
+    phi = sympy.cyclotomic_poly(l, q)
+
+    def poly(num, den):
+        return sum(sympy.Rational(c, den) * q ** i for i, c in enumerate(num))
+
+    a, b = F._make(list(num_a), den_a), F._make(list(num_b), den_b)
+    pa, pb = poly(num_a, den_a), poly(num_b, den_b)
+    for got, expr in ((a, pa), (a * b, pa * pb), (a + b, pa + pb),
+                      (a - b, pa - pb)):
+        oracle = sympy.rem(sympy.expand(expr), phi, q)
+        want = _canonical_from_fractions(_sympy_coeffs(oracle, q, F.deg))
+        assert (got.num, got.den) == want, (l, expr)
+
+
+def _generic_canonical(expr, q):
+    """(shift, num, den) of a rational function in q, derived from
+    sympy.cancel: coprime numerator and denominator with the powers of q
+    pulled out, integer primitive parts, coprime contents and a positive
+    leading denominator coefficient."""
+    num, den = sympy.fraction(sympy.cancel(sympy.together(expr)))
+    if num == 0:
+        return None
+    shift = 0
+    sides = []
+    for sign, part in ((1, num), (-1, den)):
+        coeffs = _sympy_coeffs(part, q, 0)
+        low = next(i for i, c in enumerate(coeffs) if c)
+        shift += sign * low
+        sides.append(coeffs[low:])
+    nums, dens = sides
+    cn, cd = _content(nums), _content(dens)
+    if dens[-1] < 0:
+        cd = -cd
+    ratio = cn / cd
+    return (shift,
+            tuple(int(c / cn * ratio.numerator) for c in nums),
+            tuple(int(c / cd * ratio.denominator) for c in dens))
+
+
+def _content(coeffs):
+    """The positive rational c with coeffs / c integral and primitive."""
+    ints, den = _canonical_from_fractions(coeffs)
+    return Fraction(reduce(gcd, ints, 0), den)
+
+
+generic_elems = st.tuples(
+    st.integers(-3, 3),
+    st.lists(st.integers(-4, 4), min_size=1, max_size=4).filter(any),
+    st.lists(st.integers(-4, 4), min_size=1, max_size=3).filter(any))
+
+
+@given(generic_elems, generic_elems)
+@settings(max_examples=60, deadline=None)
+def test_generic_canonical_forms_match_sympy(elem_a, elem_b):
+    q = sympy.Symbol("q")
+
+    def expr(shift, num, den):
+        return q ** shift * sum(c * q ** i for i, c in enumerate(num)) / \
+            sum(c * q ** i for i, c in enumerate(den))
+
+    a, b = GenericScalar.make(*elem_a), GenericScalar.make(*elem_b)
+    ea, eb = expr(*elem_a), expr(*elem_b)
+    for got, oracle in ((a, ea), (a * b, ea * eb), (a + b, ea + eb),
+                        (a - b, ea - eb)):
+        want = _generic_canonical(oracle, q)
+        if want is None:
+            assert got.is_zero()
+        else:
+            assert (got.shift, got.num, got.den) == want, oracle
 
 
 def test_cyclotomic_inverse_rejects_wrong_conjugates(monkeypatch):

@@ -1,9 +1,11 @@
 """Restriction, the central element, splitting, triangle, n = 2 goldens."""
 
+import copy
 from math import comb
 
 import pytest
 
+from blobtensor import towers
 from blobtensor.linalg import vec_eq
 from blobtensor.scalars import BlobParams, context, residues_equal
 from blobtensor.tensor import op_S, op_T_inv
@@ -79,7 +81,7 @@ def test_splitting_generic_and_cyclotomic():
     # wall case: lambda = -m mod l
     res = splitting_check(4, -2, BlobParams(4, 3, 2))
     assert res.wall and res.split == "undetermined"
-    assert res.complement in ("found", "none", "not_attempted")
+    assert res.complement == "none"
 
     # generic wall happens exactly at lambda = -m
     res = splitting_check(4, -2, BlobParams(4, 0, 2))
@@ -100,6 +102,92 @@ def test_splitting_sweep(l, m):
                 assert res.split is True
                 assert res.eig_dims == (comb(n - 1, lab.a - 1),
                                         comb(n - 1, lab.a))
+
+
+@pytest.mark.parametrize("l,m", [(5, 2), (5, 8), (5, 14), (3, 2), (0, 2)])
+def test_wall_certificate_fires_everywhere(l, m):
+    # every wall point of n = 3..7 has z_{n-1} != s, so no splitting
+    walls = 0
+    for n in range(3, 8):
+        params = BlobParams(n, l, m)
+        for lam in lambda_range(n)[1:-1]:
+            if not residues_equal(lam, -m, l):
+                continue
+            res = splitting_check(n, lam, params)
+            assert res.wall and res.split == "undetermined", (n, lam)
+            assert res.complement == "none", (n, lam)
+            assert res.eig_dims is None and res.invariant is None
+            walls += 1
+    assert walls > 0
+
+
+def test_wall_certificate_negative_controls():
+    ctx = context(BlobParams(4, 3, 2))
+    s = z_scalar_formula(WeightLabel(3, -3), ctx)
+    certify = towers._wall_complement_search
+    scalar = [{j: s} for j in range(4)]
+    assert certify(scalar, s) == "not_attempted"
+    # one off-diagonal entry: a nontrivial Jordan block
+    bumped = [dict(col) for col in scalar]
+    bumped[2][0] = ctx.one
+    assert certify(bumped, s) == "none"
+    # a scalar matrix, but for another scalar
+    assert certify(scalar, s + ctx.one) == "none"
+
+
+def test_wall_with_scalar_z_is_not_certified(monkeypatch):
+    # force z_{n-1} = s*Id at a wall point: the certificate must stay silent,
+    # which also pins the scalar splitting_check compares against
+    params = BlobParams(4, 3, 2)
+    ctx = context(params)
+    s = z_scalar_formula(WeightLabel(3, -3), ctx)
+
+    class ScalarZ:
+        def matrix(self, basis):
+            return [{j: s} for j in range(len(basis))]
+
+    monkeypatch.setattr(towers, "central_z", lambda k, p: ScalarZ())
+    res = splitting_check(4, -2, params)
+    assert res.wall and res.complement == "not_attempted"
+
+
+def _perturbed_modules(monkeypatch, gen, i, j):
+    """Make towers see weight modules whose generator `gen` has one extra
+    unit at (i, j); the cached modules stay untouched."""
+    real = towers._weight_module
+
+    def fake(n, lam, ctx):
+        module = copy.copy(real(n, lam, ctx))
+        module.U = list(module.U)
+        mat = [dict(col) for col in module.U[gen]]
+        mat[j][i] = mat[j][i] + ctx.one if i in mat[j] else ctx.one
+        module.U[gen] = mat
+        return module
+
+    monkeypatch.setattr(towers, "_weight_module", fake)
+
+
+@pytest.mark.parametrize("offset", [1, 2, 3, 4])
+def test_non_triangular_x_fails(monkeypatch, offset):
+    # M_6(0): dim 20, the first 10 columns are the 2-block; one entry
+    # below the diagonal of a 1-block column must be caught at any depth
+    params = BlobParams(6, 5, 2)
+    assert all(c.ok for c in verify_x_triangular(6, 0, params))
+    j = comb(5, 3)
+    _perturbed_modules(monkeypatch, 0, j + offset, j)
+    (check,) = verify_x_triangular(6, 0, params)
+    assert not check.ok
+    assert check.first_failure == f"below-diagonal entry at ({j + offset},{j})"
+
+
+def test_non_invariant_eigenspace_fails(monkeypatch):
+    params = BlobParams(4, 5, 2)
+    _perturbed_modules(monkeypatch, 1, 5, 0)
+    res = splitting_check(4, 0, params)
+    assert not res.wall
+    assert res.eig_dims == res.eig_dims_expected == (3, 3)
+    assert res.invariant is False
+    assert res.split is False
 
 
 def test_z_restricted_minimal_polynomial():
