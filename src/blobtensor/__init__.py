@@ -13,7 +13,7 @@ from .tensor import (LinOp, all_words, op_S, op_T, op_T_inv, op_theta_varpi,
 from .blob import (BlobAction, BlobWord, apply_word, blob_generator,
                    verify_blob_relations)
 from .weightmod import (WeightLabel, WeightModule, adjointness_injective,
-                        adjointness_surjective, idempotent_e, lambda_range,
+                        adjointness_surjective, lambda_range,
                         localize, quotient_Q_scalars, special_element_scalar,
                         underline_map, weight_basis, weight_module)
 from .specht import (Bitableau, MatrixRep, Shape, build_S_prime, col_shape,

@@ -50,7 +50,8 @@ def _lambda_values(text, n):
 def _param_grid(args, skipped, min_n=1):
     """Yield the valid BlobParams of the grid in the deterministic l, m, n
     order; append a skip record (and a stderr line) for every point that
-    fails validation, including each n below the command's `min_n`."""
+    fails validation, including each n below the command's `min_n`.  An n
+    above the size cap raises ParameterError when its turn comes."""
     for l in sorted(args.l):
         for m in sorted(args.m):
             code = check_params(BlobParams(max(args.n), l, m))
@@ -59,14 +60,16 @@ def _param_grid(args, skipped, min_n=1):
                 if actual != args.backend:
                     code = f"backend_mismatch:{actual}"
             if code is not None:
-                _skip(skipped, BlobParams(0, l, m), code)
+                _skip(skipped, {"l": l, "m": m}, code)
                 continue
             for n in sorted(args.n):
                 if n < min_n:
-                    _skip(skipped, BlobParams(n, l, m), "n_below_min",
+                    _skip(skipped, {"l": l, "m": m, "n": n}, "n_below_min",
                           f"this command needs n >= {min_n}")
                     continue
-                yield BlobParams(n, l, m)
+                params = BlobParams(n, l, m)
+                check_size(n, params.backend)
+                yield params
 
 
 def _matrix_json(cols, basis, field):
@@ -80,15 +83,10 @@ def _matrix_json(cols, basis, field):
 
 
 def _emit(args, report):
-    text = json.dumps(report, sort_keys=True, indent=2) + "\n"
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-
-
-def _emit_text(args, text):
+    """Write a JSON report, or a command's preformatted text, to --out or
+    stdout."""
+    text = report if isinstance(report, str) else \
+        json.dumps(report, sort_keys=True, indent=2) + "\n"
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(text)
@@ -100,16 +98,13 @@ def _checks_to_records(checks):
     return [c.to_record() for c in checks]
 
 
-def _skip(skipped, params, reason, message=None):
-    """Record a skipped point; `params.n` is 0 when a whole (l, m) pair is
-    skipped, and per-n skips also carry the n."""
-    record = {"l": params.l, "m": params.m, "reason": reason,
-              "message": message or _PARAM_MESSAGES.get(reason, reason)}
-    where = f"l={params.l} m={params.m}"
-    if params.n:
-        record["n"] = params.n
-        where += f" n={params.n}"
-    skipped.append(record)
+def _skip(skipped, point, reason, message=None):
+    """Record a skipped point: `point` holds l and m, plus n (and lambda)
+    when only that n (or that weight) is skipped."""
+    skipped.append(dict(point, reason=reason,
+                        message=message or _PARAM_MESSAGES.get(reason,
+                                                               reason)))
+    where = " ".join(f"{k}={v}" for k, v in point.items())
     print(f"skip {where}: {reason}", file=sys.stderr)
 
 
@@ -121,7 +116,6 @@ def cmd_verify_relations(args):
     results, skipped = [], []
     ok = True
     for params in _param_grid(args, skipped, min_n=2):
-        check_size(params.n, params.backend)
         checks = tensor.verify_ariki_koike(params.n, params)
         checks += tensor.verify_blob_identity(params.n, params)
         checks += blob.verify_blob_relations(params.n, params)
@@ -145,7 +139,6 @@ def cmd_adjointness(args):
     ok = True
     dual_records = []
     for params in _param_grid(args, skipped, min_n=3):
-        check_size(params.n, params.backend)
         n = params.n
         for lam in _lambda_values(args.lam, n):
             if abs(lam) == n:
@@ -181,8 +174,7 @@ def cmd_adjointness(args):
 def cmd_localize(args):
     results, skipped = [], []
     ok = True
-    for params in _param_grid(args, skipped):
-        check_size(params.n, params.backend)
+    for params in _param_grid(args, skipped, min_n=2):
         n = params.n
         for lam in _lambda_values(args.lam, n):
             if abs(lam) == n:
@@ -192,6 +184,11 @@ def cmd_localize(args):
                 rec = {"n": n, "l": params.l, "m": params.m, "lambda": lam,
                        "dim_e": loc.dim_e, "localizes_to_zero": point_ok,
                        "ok": point_ok}
+            elif n < 3:
+                _skip(skipped, {"l": params.l, "m": params.m, "n": n,
+                                "lambda": lam}, "n_below_min",
+                      "an interior lambda needs n >= 3")
+                continue
             else:
                 res = weightmod.underline_map(n, lam, params)
                 point_ok = res.ok
@@ -206,7 +203,6 @@ def cmd_restrict(args):
     results, skipped = [], []
     ok = True
     for params in _param_grid(args, skipped):
-        check_size(params.n, params.backend)
         n = params.n
         for lam in _lambda_values(args.lam, n):
             rec = {"n": n, "l": params.l, "m": params.m, "lambda": lam}
@@ -238,8 +234,7 @@ def cmd_triangle(args):
     if args.format == "csv":
         lines = [",".join(str(v) for v in table[n])
                  for n in range(1, n_max + 1)]
-        _emit_text(args, "\n".join(lines) + "\n")
-        return None, ok
+        return "\n".join(lines) + "\n", ok
     report = {"command": "triangle",
               "rows": {str(n): table[n] for n in range(1, n_max + 1)},
               "lambda_columns": {str(n): weightmod.lambda_range(n)
@@ -253,7 +248,6 @@ def cmd_duality(args):
     results, skipped = [], []
     ok = True
     for params in _param_grid(args, skipped):
-        check_size(params.n, params.backend)
         n = params.n
         for n1 in range(0, n + 1):
             n2 = n - n1
@@ -282,7 +276,7 @@ def cmd_smallcase(args):
             params = BlobParams(2, l, m)
             code = check_params(params)
             if code is not None:
-                _skip(skipped, BlobParams(0, l, m), code)
+                _skip(skipped, {"l": l, "m": m}, code)
                 continue
             checks, computed, golden = towers.verify_smallcase_matrices(
                 params)
@@ -371,12 +365,11 @@ def main(argv=None):
         return 2
     # a request that names parameters but yields neither a result nor a
     # skip record checked nothing; an empty --l or --m list asks for nothing
-    if report is not None and "results" in report and args.l and args.m \
-            and not report["results"] and not report["skipped"]:
+    if isinstance(report, dict) and "results" in report and args.l \
+            and args.m and not report["results"] and not report["skipped"]:
         print("no grid point produced a result", file=sys.stderr)
         report["ok"] = ok = False
-    if report is not None:
-        _emit(args, report)
+    _emit(args, report)
     return 0 if ok else 1
 
 

@@ -125,11 +125,6 @@ class SpanSolver:
         piv, _, _ = self._reduce(vec)
         return piv is None
 
-    def residual(self, vec):
-        """Reduce vec against the span; empty dict iff vec is in the span."""
-        _, red, _ = self._reduce(vec)
-        return red
-
     def express(self, vec):
         """Write vec as {tag: coeff} over the inserted generators, or None."""
         if not self.track:
@@ -206,42 +201,18 @@ def mat_transpose(a, nrows):
 # kernels and closures
 # ---------------------------------------------------------------------------
 
-def nullspace(cols, dim, one):
-    """Kernel basis of the linear map with the given columns (length = domain
-    dimension `dim`); rows live in any index set.  Returns sparse vectors."""
-    # Gauss-Jordan on the rows of the matrix, tracking pivot columns.
-    rows = {}
-    for j, col in enumerate(cols):
-        for i, x in col.items():
-            rows.setdefault(i, {})[j] = x
-    pivots = {}       # column -> reduced row
-    for i in sorted(rows):
-        vec = rows[i]
-        # reduce against existing pivot rows
-        for pc in list(pivots):
-            c = vec.get(pc)
-            if c is not None:
-                vec = vec_sub(vec, vec_scale(pivots[pc], c))
-        if not vec:
-            continue
-        pc = min(vec)
-        inv = vec[pc].inv()
-        vec = vec_scale(vec, inv)
-        # back-substitute into earlier rows
-        for other_pc, other in list(pivots.items()):
-            c = other.get(pc)
-            if c is not None:
-                pivots[other_pc] = vec_sub(other, vec_scale(vec, c))
-        pivots[pc] = vec
-    free = [j for j in range(dim) if j not in pivots]
+def nullspace(cols, one):
+    """Kernel basis of the linear map with the given columns; rows live in
+    any index set.  Column j that is a combination sum_t c_t col_t of the
+    earlier independent columns gives the kernel vector e_j - sum_t c_t e_t.
+    Returns sparse vectors."""
+    span = SpanSolver(track=True)
     basis = []
-    for f in free:
-        v = {f: one}
-        for pc, row in pivots.items():
-            c = row.get(f)
-            if c is not None:
-                v[pc] = -c
-        basis.append(v)
+    for j, col in enumerate(cols):
+        if not span.insert(col, tag=j):
+            v = {t: -c for t, c in span.express(col).items()}
+            v[j] = one
+            basis.append(v)
     return basis
 
 

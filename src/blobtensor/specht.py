@@ -26,13 +26,13 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .blob import ariki_koike_checks_matrices, blob_relation_checks_matrices
-from .linalg import (invariant_closure, mat_eq, mat_mul, mat_scale,
-                     mat_sub_scalar_diag, mat_transpose, mat_vec, span_rank,
-                     vec_add_scaled, vec_eq)
+from .linalg import (invariant_closure, mat_eq, mat_mul, mat_sub_scalar_diag,
+                     mat_transpose, mat_vec, span_rank, vec_add_scaled,
+                     vec_eq)
 from .scalars import context, residues_equal
 from .tensor import RelationCheck, ops_Xk_ctx
 from .weightmod import (WeightLabel, _adjointness_injective,
-                        _adjointness_surjective, _special_scalar,
+                        _adjointness_surjective, _e_matrix, _special_scalar,
                         _weight_module)
 
 
@@ -361,8 +361,7 @@ def dual_adjointness_check(n, lam, params):
     label = WeightLabel(n, lam)
     module = _weight_module(n, lam, ctx)
     dual_u = [mat_transpose(u, module.dim) for u in module.U]
-    two = ctx.q + ctx.qinv
-    e_dual = mat_scale(dual_u[n - 1], -two.inv())
+    e_dual = _e_matrix(dual_u, ctx)
     closure = invariant_closure([c for c in e_dual if c], dual_u)
     direct_surjective = closure.rank == module.dim
 

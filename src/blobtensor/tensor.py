@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import itertools
 
-from .linalg import vec_add_scaled, vec_scale, vec_sub
+from .linalg import vec_add_scaled, vec_sub
 from .relations import (Relation, RelationCheck, ariki_koike_relations,
                         blob_identity, evaluate, product, word)
 from .scalars import context
@@ -55,8 +55,8 @@ def vect_to_json(v, field):
 
 class LinOp:
     """A linear endomorphism of the span of length-n words, given by a rule
-    basis word -> sparse vector.  Per-word results are memoized; composition,
-    differences and scalar multiples stay lazy."""
+    basis word -> sparse vector.  Per-word results are memoized; composition
+    and scalar shifts stay lazy."""
 
     __slots__ = ("n", "ctx", "_rule", "_cache", "name")
 
@@ -89,17 +89,6 @@ class LinOp:
         return LinOp(self.n, self.ctx,
                      lambda w: self(other.apply_word(w)),
                      name=f"{self.name}*{other.name}")
-
-    def __sub__(self, other):
-        return LinOp(self.n, self.ctx,
-                     lambda w: vec_sub(self.apply_word(w),
-                                       other.apply_word(w)),
-                     name=f"({self.name}-{other.name})")
-
-    def __rmul__(self, c):
-        return LinOp(self.n, self.ctx,
-                     lambda w: vec_scale(self.apply_word(w), c),
-                     name=f"c*{self.name}")
 
     def minus_scalar(self, c):
         """self - c * Id."""

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from math import comb
 
 from .blob import BlobAction
-from .linalg import (SpanSolver, mat_is_zero, mat_mul, mat_sub_scalar_diag,
+from .linalg import (mat_eq, mat_is_zero, mat_mul, mat_sub_scalar_diag,
                      mat_vec, nullspace, vec_add_scaled, vec_eq)
 from .scalars import context
 from .tensor import RelationCheck, ops_Xk_ctx
@@ -113,10 +113,8 @@ def _restriction_sequence(n, lam, ctx):
 # the central element
 # ---------------------------------------------------------------------------
 
-def central_z(k, params):
+def central_z(k, n, ctx):
     """z_k = X_1 X_2 ... X_k as a lazy operator on V^(x)n."""
-    ctx = context(params)
-    n = params.n
     if not 1 <= k <= n:
         raise ValueError(f"k={k} out of range 1..{n}")
     xs = ops_Xk_ctx(n, ctx, k)
@@ -156,13 +154,11 @@ def verify_central_z(n, lam, params):
     every generator matrix."""
     ctx = context(params)
     module = _weight_module(n, lam, ctx)
-    z = central_z(n, params)
+    zmat = central_z(n, n, ctx).matrix(module.basis)
     expect = z_scalar_formula(module.label, ctx)
-    zmat = z.matrix(module.basis)
     scalar_ok = all(vec_eq(zmat[j], {j: expect}) for j in range(module.dim))
-    central = all(
-        all(vec_eq(a, b) for a, b in zip(mat_mul(zmat, u), mat_mul(u, zmat)))
-        for u in module.U)
+    central = all(mat_eq(mat_mul(zmat, u), mat_mul(u, zmat))
+                  for u in module.U)
     return CentralScalarReport(n, lam, scalar_ok, central)
 
 
@@ -206,8 +202,7 @@ def splitting_check(n, lam, params):
     if abs(lam) == n:
         raise ValueError("lambda = +-n does not restrict in two pieces")
     module = _weight_module(n, lam, ctx)
-    z = central_z(n - 1, params)
-    zmat = z.matrix(module.basis)
+    zmat = central_z(n - 1, n, ctx).matrix(module.basis)
     s_minus = z_scalar_formula(WeightLabel(n - 1, lam - 1), ctx)
     s_plus = z_scalar_formula(WeightLabel(n - 1, lam + 1), ctx)
     a = label.a
@@ -216,21 +211,18 @@ def splitting_check(n, lam, params):
         complement = _wall_complement_search(zmat, s_minus)
         return SplittingResult(n, lam, True, "undetermined", None, expected,
                                None, complement)
-    k_minus = nullspace(mat_sub_scalar_diag(zmat, s_minus), module.dim,
-                        ctx.one)
-    k_plus = nullspace(mat_sub_scalar_diag(zmat, s_plus), module.dim,
-                       ctx.one)
-    dims = (len(k_minus), len(k_plus))
-    gens = module.U[: n - 1]
+    # each eigenspace ker(z - s) is b_{n-1}-invariant iff (z - s) g v = 0
+    # for every kernel vector v and every generator g
+    dims = []
     invariant = True
-    for space in (k_minus, k_plus):
-        span = SpanSolver()
-        for v in space:
-            span.insert(dict(v))
-        for g in gens:
-            for v in space:
-                if not span.contains(mat_vec(g, v)):
-                    invariant = False
+    for s in (s_minus, s_plus):
+        zs = mat_sub_scalar_diag(zmat, s)
+        space = nullspace(zs, ctx.one)
+        dims.append(len(space))
+        invariant = invariant and all(
+            not mat_vec(zs, mat_vec(g, v))
+            for g in module.U[: n - 1] for v in space)
+    dims = tuple(dims)
     split = dims == expected and invariant and sum(dims) == module.dim
     return SplittingResult(n, lam, False, split, dims, expected, invariant,
                            "n/a")

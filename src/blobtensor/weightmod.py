@@ -29,8 +29,8 @@ from math import comb
 
 from .blob import BlobAction, blob_relation_checks_matrices
 from .linalg import (SpanSolver, invariant_closure, mat_eq, mat_mul,
-                     mat_scale, span_rank, vec_add_scaled, vec_eq, vec_scale,
-                     vec_sub)
+                     mat_scale, mat_vec, span_rank, vec_add_scaled, vec_eq,
+                     vec_scale, vec_sub)
 from .scalars import context, residues_equal
 from .tensor import RelationCheck, all_words, weight_words
 
@@ -128,24 +128,9 @@ def weight_module(params, lam, n=None):
 # the idempotent and localization
 # ---------------------------------------------------------------------------
 
-def idempotent_e(n, params):
-    """e = -U_{n-1}/[2] as a lazy operator on V^(x)n."""
-    return _idempotent_op(n, context(params))
-
-
-def _idempotent_op(n, ctx):
-    two = ctx.q + ctx.qinv
-    if two.is_zero():
-        raise ZeroDivisionError("[2] = 0: the idempotent is undefined")
-    action = BlobAction(n, ctx)
-    op = (-two.inv()) * action.generator(n - 1)
-    op.name = "e"
-    return op
-
-
-def _e_matrix(module):
-    two = module.ctx.q + module.ctx.qinv
-    return mat_scale(module.U[module.n - 1], -two.inv())
+def _e_matrix(gens, ctx):
+    """e = -U_{n-1}/[2] from the generator matrices U_0 .. U_{n-1}."""
+    return mat_scale(gens[-1], -(ctx.q + ctx.qinv).inv())
 
 
 def underline_vect(w1, w2, ctx):
@@ -171,7 +156,9 @@ def localize(module):
     """Column space of e on M_n(lam) with the b_{n-2} generator matrices
     restricted to it."""
     n = module.n
-    emat = _e_matrix(module)
+    if n < 2:
+        raise ValueError("the idempotent e = -U_{n-1}/[2] needs n >= 2")
+    emat = _e_matrix(module.U, module.ctx)
     solver = SpanSolver(track=True)
     chosen = []
     for j, col in enumerate(emat):
@@ -192,16 +179,8 @@ def localize(module):
                     f"U_{i} does not preserve eM_{n}({module.lam})")
             cols.append(expr)
         gens.append(cols)
-    e_fixes = all(
-        vec_eq(_apply_cols(emat, b), b) for b in chosen)
+    e_fixes = all(vec_eq(mat_vec(emat, b), b) for b in chosen)
     return LocalizationResult(n, module.lam, dim_e, chosen, gens, e_fixes)
-
-
-def _apply_cols(cols, v):
-    out = {}
-    for r, c in v.items():
-        vec_add_scaled(out, cols[r], c)
-    return out
 
 
 @dataclass
@@ -244,9 +223,9 @@ def _underline_map(n, lam, ctx):
     big = _weight_module(n, lam, ctx)
     small = _weight_module(n - 2, lam, ctx)
     fcols = [big.coords(underline_vect(w, "", ctx)) for w in small.basis]
-    emat = _e_matrix(big)
+    emat = _e_matrix(big.U, ctx)
     # image sits inside eM and spans it
-    e_fixes = all(vec_eq(_apply_cols(emat, col), col) for col in fcols)
+    e_fixes = all(vec_eq(mat_vec(emat, col), col) for col in fcols)
     rank = span_rank(fcols)
     dim_e = span_rank(emat)
     intertwines = {}

@@ -4,8 +4,11 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from blobtensor.cli import main
 
@@ -160,6 +163,33 @@ def test_localize_report(tmp_path):
     assert report["ok"]
     extremes = [r for r in report["results"] if "localizes_to_zero" in r]
     assert extremes and all(r["localizes_to_zero"] for r in extremes)
+
+
+def test_localize_small_n_is_skipped(tmp_path, capsys):
+    # n = 1 has no U_{n-1} besides the blob generator, and at n = 2 only the
+    # extreme weights localize: the interior weight is skipped with its lambda
+    out = tmp_path / "loc.json"
+    rc = main(["localize", "--n", "1..3", "--l", "5", "--m", "2",
+               "--out", str(out)])
+    assert rc == 0
+    err = capsys.readouterr().err
+    assert "skip l=5 m=2 n=1: n_below_min" in err
+    assert "skip l=5 m=2 n=2 lambda=0: n_below_min" in err
+    report = json.loads(out.read_text())
+    assert report["ok"]
+    assert report["skipped"] == [
+        {"l": 5, "m": 2, "n": 1, "reason": "n_below_min",
+         "message": "this command needs n >= 2"},
+        {"l": 5, "m": 2, "n": 2, "lambda": 0, "reason": "n_below_min",
+         "message": "an interior lambda needs n >= 3"}]
+    assert [(r["n"], r["lambda"]) for r in report["results"]] == \
+        [(2, -2), (2, 2), (3, -3), (3, -1), (3, 1), (3, 3)]
+    assert all(r["localizes_to_zero"] for r in report["results"][:2])
+    # a grid of nothing but skipped weights still exits 0
+    rc = main(["localize", "--n", "2", "--l", "5", "--lambda", "0",
+               "--out", str(out)])
+    assert rc == 0
+    assert json.loads(out.read_text())["results"] == []
 
 
 def test_restrict_report(tmp_path):
@@ -320,3 +350,43 @@ def test_operator_leaving_its_block_is_a_verification_error(monkeypatch,
     assert rc == 1
     assert err.startswith("verification error: T3 leaves the basis span")
     assert "Traceback" not in err
+
+
+JSON_COMMANDS = ["verify-relations", "adjointness", "localize", "restrict",
+                 "duality", "smallcase", "triangle"]
+
+
+@st.composite
+def small_grids(draw):
+    command = draw(st.sampled_from(JSON_COMMANDS))
+    lo = draw(st.integers(1, 4))
+    hi = draw(st.integers(lo, 4))
+    n = [] if command == "smallcase" else \
+        ["--n", str(lo) if lo == hi else f"{lo}..{hi}"]
+    if command == "triangle":
+        return [command, *n, "--format", "json"]
+    ls = draw(st.lists(st.sampled_from([0, 1, 3, 4, 5, 7]), min_size=1,
+                       max_size=2, unique=True))
+    ms = draw(st.lists(st.integers(-3, 6), min_size=1, max_size=2,
+                       unique=True))
+    # "--m=-1,0": argparse takes a bare "-1,0" for an option
+    argv = [command, *n, "--l=" + ",".join(map(str, ls)),
+            "--m=" + ",".join(map(str, ms))]
+    if command in ("adjointness", "localize", "restrict"):
+        lam = draw(st.one_of(st.just("all"), st.integers(-5, 5).map(str)))
+        argv.append(f"--lambda={lam}")
+    return argv
+
+
+@given(small_grids())
+@settings(max_examples=60, deadline=None)
+def test_well_formed_grids_never_fail(argv):
+    # exit 1 is allowed only for a request that checked nothing at all
+    with tempfile.TemporaryDirectory() as tmp:
+        out = os.path.join(tmp, "report.json")
+        rc = main(argv + ["--out", out])
+        with open(out) as fh:
+            report = json.load(fh)
+    assert rc in (0, 1), argv
+    if rc == 1:
+        assert report["results"] == [] and report["skipped"] == [], argv

@@ -2,6 +2,7 @@
 
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -54,13 +55,15 @@ def test_span_rank_matches_fraction_oracle(rows):
     assert span_rank(sparse[::-1]) == rank
 
 
-@given(matrices)
+@pytest.mark.parametrize("field", [GENERIC, cyclotomic_field(5)],
+                         ids=["generic", "cyc5"])
+@given(rows=matrices)
 @settings(max_examples=80)
-def test_nullspace_and_rank_nullity(rows):
+def test_nullspace_and_rank_nullity(field, rows):
     # interpret the rows as columns of a map; kernel vectors must be killed
-    cols = [to_sparse(r, GENERIC) for r in rows]
+    cols = [to_sparse(r, field) for r in rows]
     dim = len(cols)
-    basis = nullspace(cols, dim, GENERIC.one)
+    basis = nullspace(cols, field.one)
     assert len(basis) == dim - dense_rank_fractions(rows)
     for v in basis:
         assert mat_vec(cols, v) == {}

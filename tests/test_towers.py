@@ -52,7 +52,7 @@ def test_restriction_rejects_extremes():
 def test_central_z_scalar_m31():
     params = BlobParams(3, 0, 2)
     ctx = context(params)
-    z = central_z(3, params)
+    z = central_z(3, 3, ctx)
     expect = (ctx.lam1 ** 2) * ctx.lam2 * (ctx.q ** 2)
     assert z_scalar_formula(WeightLabel(3, 1), ctx) == expect
     for w in ("211", "112", "121"):
@@ -70,7 +70,30 @@ def test_central_z_grid(l, m):
 
 def test_central_z_range_check():
     with pytest.raises(ValueError):
-        central_z(5, P4)
+        central_z(5, 4, context(P4))
+
+
+def test_non_central_z_fails(monkeypatch):
+    # X_1 alone is neither scalar on M_4(0) nor central: both verdicts drop
+    from blobtensor.tensor import op_X_ctx
+
+    monkeypatch.setattr(towers, "central_z",
+                        lambda k, n, ctx: op_X_ctx(n, ctx))
+    rep = verify_central_z(4, 0, BlobParams(4, 5, 2))
+    assert not rep.scalar_matches and not rep.central and not rep.ok
+
+
+def test_records_do_not_depend_on_params_n():
+    # z is built for the n being checked, whatever params.n says
+    for n, lam, other in ((4, 0, 5), (5, 1, 4), (5, -1, 3)):
+        for l in (0, 5):
+            params, stray = BlobParams(n, l, 2), BlobParams(other, l, 2)
+            assert verify_central_z(n, lam, stray).to_record() == \
+                verify_central_z(n, lam, params).to_record()
+            assert splitting_check(n, lam, stray).to_record(stray) == \
+                splitting_check(n, lam, params).to_record(params)
+    res = splitting_check(5, 1, BlobParams(4, 0, 2))
+    assert res.split is True and res.eig_dims == res.eig_dims_expected
 
 
 def test_splitting_generic_and_cyclotomic():
@@ -146,7 +169,7 @@ def test_wall_with_scalar_z_is_not_certified(monkeypatch):
         def matrix(self, basis):
             return [{j: s} for j in range(len(basis))]
 
-    monkeypatch.setattr(towers, "central_z", lambda k, p: ScalarZ())
+    monkeypatch.setattr(towers, "central_z", lambda k, n, ctx: ScalarZ())
     res = splitting_check(4, -2, params)
     assert res.wall and res.complement == "not_attempted"
 
@@ -202,7 +225,7 @@ def test_z_restricted_minimal_polynomial():
         params = BlobParams(n, l, m)
         ctx = context(params)
         module = weight_module(params, lam)
-        zmat = central_z(n - 1, params).matrix(module.basis)
+        zmat = central_z(n - 1, n, ctx).matrix(module.basis)
         s_minus = z_scalar_formula(WeightLabel(n - 1, lam - 1), ctx)
         s_plus = z_scalar_formula(WeightLabel(n - 1, lam + 1), ctx)
         prod = mat_mul(mat_sub_scalar_diag(zmat, s_minus),

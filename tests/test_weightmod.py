@@ -4,12 +4,13 @@ from math import comb
 
 import pytest
 
-from blobtensor.linalg import SpanSolver, mat_eq, mat_mul, span_rank
+from blobtensor.linalg import (SpanSolver, mat_eq, mat_is_zero, mat_mul,
+                               span_rank)
 from blobtensor.scalars import BlobParams, context, residues_equal
 from blobtensor.tensor import op_T
 from blobtensor.weightmod import (WeightLabel, adjointness_injective,
                                   adjointness_record, adjointness_surjective,
-                                  idempotent_e, lambda_range, localize,
+                                  lambda_range, localize,
                                   quotient_Q_scalars, quotient_scalar_record,
                                   special_element_scalar, straighten_word,
                                   underline_map, verify_module_blob_relations,
@@ -58,12 +59,13 @@ def test_module_matrices_match_generators():
 
 
 def test_idempotent():
-    e = idempotent_e(3, P3)
-    two = C3.q + C3.qinv
-    assert e("112") == {"112": two.inv() * C3.qinv, "121": -two.inv()}
-    assert e("111") == {}
     module = weight_module(P3, 1)
-    em = _e_matrix(module)
+    em = _e_matrix(module.U, C3)
+    two = C3.q + C3.qinv
+    col = em[module.index["112"]]
+    assert module.words(col) == {"112": two.inv() * C3.qinv,
+                                 "121": -two.inv()}
+    assert mat_is_zero(_e_matrix(weight_module(P3, 3).U, C3))
     assert mat_eq(mat_mul(em, em), em)
 
 
@@ -90,6 +92,9 @@ def test_localize_extremes_vanish():
         params = BlobParams(n, 0, 2)
         for lam in (n, -n):
             assert localize(weight_module(params, lam)).dim_e == 0
+    # at n = 1 there is no U_{n-1} besides the blob generator U_0
+    with pytest.raises(ValueError):
+        localize(weight_module(BlobParams(1, 0, 2), -1))
 
 
 def test_localized_generator_matrices_satisfy_blob_relations():
