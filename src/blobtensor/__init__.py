@@ -4,17 +4,15 @@ M_n(lambda), Specht-module duality, and the localization / restriction
 criteria that govern them."""
 
 from .scalars import (GENERIC, BlobParams, CyclotomicField, FieldContext,
-                      GenericField, ParameterError, check_params,
-                      cyclotomic_field, gauss_integer, lambda_params,
-                      specialize, validate_params)
-from .tensor import (LinOp, all_words, op_S, op_T, op_T_inv, op_theta_varpi,
-                     op_X, op_Xk, verify_ariki_koike, verify_blob_identity,
+                      GenericField, ParameterError, check_params, context,
+                      cyclotomic_field, specialize, validate_params)
+from .tensor import (LinOp, all_words, op_S_ctx, op_T_ctx, op_T_inv_ctx,
+                     op_theta_varpi_ctx, op_X_ctx, ops_Xk_ctx,
+                     verify_ariki_koike, verify_blob_identity,
                      verify_partial_rotation_fixing, weight_words)
-from .blob import (BlobAction, BlobWord, apply_word, blob_generator,
-                   verify_blob_relations)
-from .weightmod import (WeightLabel, WeightModule, adjointness_injective,
-                        adjointness_surjective, lambda_range,
-                        localize, quotient_Q_scalars, special_element_scalar,
+from .blob import BlobAction, verify_blob_relations
+from .weightmod import (WeightLabel, WeightModule, adjointness_record,
+                        lambda_range, localize, special_element_scalar,
                         underline_map, weight_basis, weight_module)
 from .specht import (Bitableau, MatrixRep, Shape, build_S_prime, col_shape,
                      dual_adjointness_check, dualize, gi_action, phi_map,

@@ -18,24 +18,9 @@ action matters here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .linalg import vec_scale
 from .relations import (ZERO, Relation, ariki_koike_relations, blob_identity,
                         blob_relations, commute, evaluate, product)
-from .scalars import context
 from .tensor import op_T_ctx, op_X_ctx, ops_Xk_ctx, weight_blocks
-
-
-@dataclass(frozen=True)
-class BlobWord:
-    """A scalar multiple of a product of generators U_{i1} ... U_{ik}."""
-
-    factors: tuple
-    coefficient: object = None
-
-    def __post_init__(self):
-        object.__setattr__(self, "factors", tuple(self.factors))
 
 
 class BlobAction:
@@ -45,10 +30,6 @@ class BlobAction:
         self.n = n
         self.ctx = ctx
         self._gens = {}
-
-    @staticmethod
-    def from_params(params, n=None):
-        return BlobAction(params.n if n is None else n, context(params))
 
     def generator(self, i):
         if not 0 <= i <= self.n - 1:
@@ -64,41 +45,18 @@ class BlobAction:
         return op
 
 
-def blob_generator(i, action):
-    return action.generator(i)
-
-
-def apply_word(word, v, action):
-    """Apply a BlobWord (left-to-right product of generators, times its
-    coefficient) to a vector or basis word."""
-    if isinstance(v, str):
-        if len(v) != action.n:
-            raise ValueError("word length does not match the action")
-        v = {v: action.ctx.one}
-    else:
-        for w in v:
-            if len(w) != action.n:
-                raise ValueError("vector length does not match the action")
-        v = dict(v)
-    for i in reversed(word.factors):
-        v = action.generator(i)(v)
-    if word.coefficient is not None:
-        v = vec_scale(v, word.coefficient)
-    return v
-
-
 # ---------------------------------------------------------------------------
 # relation checks
 # ---------------------------------------------------------------------------
 
-def verify_blob_relations(n, params):
+def verify_blob_relations(n, ctx):
     """Check every defining relation of the blob algebra on every basis word
     of V^(x)n, through the matrices on each weight block; n = 1 has only
     U0."""
-    action = BlobAction.from_params(params, n)
+    action = BlobAction(n, ctx)
     ops = [action.generator(i) for i in range(n)]
-    return evaluate(blob_relations([op.name for op in ops], action.ctx),
-                    weight_blocks(n, ops), action.ctx.one)
+    return evaluate(blob_relations([op.name for op in ops], ctx),
+                    weight_blocks(n, ops), ctx.one)
 
 
 def blob_relation_checks_matrices(um, ctx):
@@ -121,11 +79,10 @@ def ariki_koike_checks_matrices(xm, gm, ctx):
     return [(c.name, c.ok) for c in checks]
 
 
-def verify_ideal_generators(n, params):
+def verify_ideal_generators(n, ctx):
     """Both descriptions of the quotient ideal annihilate the tensor space:
     (X1 X2 - lam1 lam2)(T2 - q) = 0, which is the blob identity since
     X2 = T2 X T2, and (X1 + X2 - lam1 - lam2)(T2 - q) = 0."""
-    ctx = context(params)
     bminus = (("T2",), ctx.q)
     rels = [
         blob_identity("T2", ctx)._replace(name="ideal_product_form"),
@@ -138,9 +95,8 @@ def verify_ideal_generators(n, params):
         n, [op_X_ctx(n, ctx), op_T_ctx(2, n, ctx)]), ctx.one)
 
 
-def verify_xk_commute(n, params, kmax=None):
+def verify_xk_commute(n, ctx, kmax=None):
     """The operators X_1 .. X_k commute pairwise on every basis word."""
-    ctx = context(params)
     xs = ops_Xk_ctx(n, ctx, kmax)
     xs[0].name = "X1"
     rels = [commute(a.name, b.name)

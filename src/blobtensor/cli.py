@@ -48,10 +48,11 @@ def _lambda_values(text, n):
 
 
 def _param_grid(args, skipped, min_n=1):
-    """Yield the valid BlobParams of the grid in the deterministic l, m, n
-    order; append a skip record (and a stderr line) for every point that
-    fails validation, including each n below the command's `min_n`.  An n
-    above the size cap raises ParameterError when its turn comes."""
+    """Yield (params, context(params)) for the valid BlobParams of the grid
+    in the deterministic l, m, n order; append a skip record (and a stderr
+    line) for every point that fails validation, including each n below the
+    command's `min_n`.  An n above the size cap raises ParameterError when
+    its turn comes."""
     for l in sorted(args.l):
         for m in sorted(args.m):
             code = check_params(BlobParams(max(args.n), l, m))
@@ -69,7 +70,7 @@ def _param_grid(args, skipped, min_n=1):
                     continue
                 params = BlobParams(n, l, m)
                 check_size(n, params.backend)
-                yield params
+                yield params, context(params)
 
 
 def _matrix_json(cols, basis, field):
@@ -115,18 +116,18 @@ def _skip(skipped, point, reason, message=None):
 def cmd_verify_relations(args):
     results, skipped = [], []
     ok = True
-    for params in _param_grid(args, skipped, min_n=2):
-        checks = tensor.verify_ariki_koike(params.n, params)
-        checks += tensor.verify_blob_identity(params.n, params)
-        checks += blob.verify_blob_relations(params.n, params)
-        checks += blob.verify_ideal_generators(params.n, params)
+    for params, ctx in _param_grid(args, skipped, min_n=2):
+        n = params.n
+        checks = tensor.verify_ariki_koike(n, ctx)
+        checks += tensor.verify_blob_identity(n, ctx)
+        checks += blob.verify_blob_relations(n, ctx)
+        checks += blob.verify_ideal_generators(n, ctx)
         for j in (1, 2):
-            for p in range(1, params.n + 1):
-                checks += tensor.verify_partial_rotation_fixing(
-                    j, p, params.n, params)
+            for p in range(1, n + 1):
+                checks += tensor.verify_partial_rotation_fixing(j, p, n, ctx)
         point_ok = all(c.ok for c in checks)
         ok = ok and point_ok
-        results.append({"n": params.n, "l": params.l, "m": params.m,
+        results.append({"n": n, "l": params.l, "m": params.m,
                         "backend": params.backend,
                         "checks": _checks_to_records(checks),
                         "all_ok": point_ok})
@@ -138,7 +139,7 @@ def cmd_adjointness(args):
     results, skipped = [], []
     ok = True
     dual_records = []
-    for params in _param_grid(args, skipped, min_n=3):
+    for params, _ in _param_grid(args, skipped, min_n=3):
         n = params.n
         for lam in _lambda_values(args.lam, n):
             if abs(lam) == n:
@@ -174,11 +175,11 @@ def cmd_adjointness(args):
 def cmd_localize(args):
     results, skipped = [], []
     ok = True
-    for params in _param_grid(args, skipped, min_n=2):
+    for params, ctx in _param_grid(args, skipped, min_n=2):
         n = params.n
         for lam in _lambda_values(args.lam, n):
             if abs(lam) == n:
-                module = weightmod.weight_module(params, lam)
+                module = weightmod.weight_module(n, lam, ctx)
                 loc = weightmod.localize(module)
                 point_ok = loc.dim_e == 0
                 rec = {"n": n, "l": params.l, "m": params.m, "lambda": lam,
@@ -190,7 +191,7 @@ def cmd_localize(args):
                       "an interior lambda needs n >= 3")
                 continue
             else:
-                res = weightmod.underline_map(n, lam, params)
+                res = weightmod.underline_map(n, lam, ctx)
                 point_ok = res.ok
                 rec = dict(res.to_record(), l=params.l, m=params.m)
             ok = ok and point_ok
@@ -202,20 +203,20 @@ def cmd_localize(args):
 def cmd_restrict(args):
     results, skipped = [], []
     ok = True
-    for params in _param_grid(args, skipped):
+    for params, ctx in _param_grid(args, skipped):
         n = params.n
         for lam in _lambda_values(args.lam, n):
             rec = {"n": n, "l": params.l, "m": params.m, "lambda": lam}
             point_ok = True
-            central = towers.verify_central_z(n, lam, params)
+            central = towers.verify_central_z(n, lam, ctx)
             rec["central"] = central.to_record()
             point_ok = point_ok and central.ok
             if abs(lam) != n:
-                seq = towers.restriction_sequence(n, lam, params)
+                seq = towers.restriction_sequence(n, lam, ctx)
                 rec["restriction"] = seq.to_record()
                 point_ok = point_ok and seq.ok
                 if n >= 3:
-                    split = towers.splitting_check(n, lam, params)
+                    split = towers.splitting_check(n, lam, ctx)
                     rec["splitting"] = split.to_record(params)
                     if not split.wall:
                         point_ok = point_ok and split.split is True
@@ -247,17 +248,17 @@ def cmd_triangle(args):
 def cmd_duality(args):
     results, skipped = [], []
     ok = True
-    for params in _param_grid(args, skipped):
+    for params, ctx in _param_grid(args, skipped):
         n = params.n
         for n1 in range(0, n + 1):
             n2 = n - n1
-            checks = specht.verify_phi_intertwines(n1, n2, params)
-            checks += specht.verify_S_prime_relations(n1, n2, params)
+            checks = specht.verify_phi_intertwines(n1, n2, ctx)
+            checks += specht.verify_S_prime_relations(n1, n2, ctx)
             checks += specht.verify_gi_quadratic_on_bitableaux(
-                specht.col_shape(n1, n2), params)
-            checks += specht.xi_word_eigenvalue_checks(n1, n2, params)
-            checks += specht.xi_bitableau_eigenvalue_checks(n1, n2, params)
-            checks += specht.verify_dualize_properties(n1, n2, params)
+                specht.col_shape(n1, n2), ctx)
+            checks += specht.xi_word_eigenvalue_checks(n1, n2, ctx)
+            checks += specht.xi_bitableau_eigenvalue_checks(n1, n2, ctx)
+            checks += specht.verify_dualize_properties(n1, n2, ctx)
             point_ok = all(c.ok for c in checks)
             ok = ok and point_ok
             results.append({"n": n, "l": params.l, "m": params.m,
@@ -278,9 +279,9 @@ def cmd_smallcase(args):
             if code is not None:
                 _skip(skipped, {"l": l, "m": m}, code)
                 continue
-            checks, computed, golden = towers.verify_smallcase_matrices(
-                params)
-            field = context(params).field
+            ctx = context(params)
+            checks, computed, golden = towers.verify_smallcase_matrices(ctx)
+            field = ctx.field
             point_ok = all(c.ok for c in checks)
             ok = ok and point_ok
             results.append({
@@ -316,6 +317,25 @@ def _add_common(sub, lam=False, needs_n=True):
     sub.add_argument("--format", choices=["json", "csv"], default="json")
 
 
+def _attach_negative_values(argv):
+    """`--m -1,2` -> `--m=-1,2` for the comma-list and weight options:
+    argparse reads a bare value that starts with '-' as an option unless it
+    is a single negative number."""
+    out = []
+    tokens = iter(argv)
+    for token in tokens:
+        out.append(token)
+        if token in ("--l", "--m", "--lambda"):
+            value = next(tokens, None)
+            if value is None:
+                break
+            if value[:1] == "-" and value[1:2].isdigit():
+                out[-1] = f"{token}={value}"
+            else:
+                out.append(value)
+    return out
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="blobtensor",
@@ -344,7 +364,8 @@ def build_parser():
 def main(argv=None):
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_attach_negative_values(
+            sys.argv[1:] if argv is None else argv))
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     if getattr(args, "format", "json") == "csv" and \

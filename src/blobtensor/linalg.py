@@ -69,7 +69,10 @@ class SpanSolver:
 
     With track=True every stored row remembers its expression in terms of the
     inserted generators, so `express` can write a vector as an explicit linear
-    combination of the generators that were accepted or rejected so far.
+    combination of the generators that were accepted or rejected so far, and
+    an insert that does not raise the rank leaves the linear relation it
+    found in `relation`: {tag: scalar} with the rejected vector's own tag at
+    coefficient one (absent when that vector was zero), summing to zero.
     """
 
     def __init__(self, track=False):
@@ -77,6 +80,7 @@ class SpanSolver:
         self.combos = {} if track else None  # pivot index -> {tag: scalar}
         self.track = track
         self.rank = 0
+        self.relation = None
 
     def _reduce(self, vec, combo=None):
         vec = dict(vec)
@@ -111,6 +115,7 @@ class SpanSolver:
             combo = {} if one is None else {tag: one}
         piv, red, combo = self._reduce(vec, combo)
         if piv is None:
+            self.relation = combo
             return False
         c = red[piv]
         cinv = c.inv()
@@ -204,13 +209,14 @@ def mat_transpose(a, nrows):
 def nullspace(cols, one):
     """Kernel basis of the linear map with the given columns; rows live in
     any index set.  Column j that is a combination sum_t c_t col_t of the
-    earlier independent columns gives the kernel vector e_j - sum_t c_t e_t.
-    Returns sparse vectors."""
+    earlier independent columns gives the kernel vector e_j - sum_t c_t e_t,
+    read off the relation that rejected it.  Returns sparse vectors."""
     span = SpanSolver(track=True)
     basis = []
     for j, col in enumerate(cols):
         if not span.insert(col, tag=j):
-            v = {t: -c for t, c in span.express(col).items()}
+            v = span.relation
+            v.pop(j, None)
             v[j] = one
             basis.append(v)
     return basis

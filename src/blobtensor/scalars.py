@@ -13,8 +13,11 @@ syntactic comparison.  Values are immutable and hashable.
 >>> q = GENERIC.q
 >>> (q - q.inv()) * (q - q.inv()).inv() == GENERIC.one
 True
->>> str(gauss_integer(2, BlobParams(2, 0, 2)))
+>>> ctx = context(BlobParams(2, 0, 2))
+>>> str(ctx.gauss(2))
 '1*q^-1+1*q^1/1*q^0'
+>>> ctx.lam1 - ctx.lam2 == ctx.gauss(2)
+True
 """
 
 from __future__ import annotations
@@ -793,17 +796,6 @@ class FieldContext:
 @lru_cache(maxsize=None)
 def context(params):
     return FieldContext.from_params(params)
-
-
-def gauss_integer(k, params):
-    """The Gaussian (quantum) integer [k] = (q^k - q^-k)/(q - q^-1)."""
-    return context(params).gauss(k)
-
-
-def lambda_params(params):
-    """The pair (lambda1, lambda2) = (q^m, q^-m)/(q - q^-1)."""
-    ctx = context(params)
-    return ctx.lam1, ctx.lam2
 
 
 # dimension caps for exact-arithmetic sweeps; override with BLOBTENSOR_MAX_N

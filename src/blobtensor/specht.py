@@ -32,8 +32,8 @@ from .linalg import (invariant_closure, mat_eq, mat_mul, mat_sub_scalar_diag,
 from .scalars import context, residues_equal
 from .tensor import RelationCheck, ops_Xk_ctx
 from .weightmod import (WeightLabel, _adjointness_injective,
-                        _adjointness_surjective, _e_matrix, _special_scalar,
-                        _weight_module)
+                        _adjointness_surjective, _e_matrix,
+                        special_element_scalar, weight_module)
 
 
 # ---------------------------------------------------------------------------
@@ -122,10 +122,8 @@ def standard_bitableaux(shape):
     return out
 
 
-def gi_action(i, t, params_or_ctx):
+def gi_action(i, t, ctx):
     """g_i applied to a standard bitableau; returns {Bitableau: scalar}."""
-    ctx = params_or_ctx if hasattr(params_or_ctx, "lam1") \
-        else context(params_or_ctx)
     if not 1 <= i <= t.shape.n - 1:
         raise ValueError(f"index {i} out of range 1..{t.shape.n - 1}")
     c1, c2 = t.component_of(i), t.component_of(i + 1)
@@ -192,18 +190,14 @@ def dualize(rep):
                      rep.ctx)
 
 
-def build_S_prime(n1, n2, params):
-    return _build_S_prime(n1, n2, context(params))
-
-
 @lru_cache(maxsize=64)
-def _build_S_prime(n1, n2, ctx):
+def build_S_prime(n1, n2, ctx):
     """The two-column module on standard bitableaux, with the bitableaux
     ordered so that phi matches the weight-module basis order; X is
     transported through phi."""
     n = n1 + n2
     lam = n1 - n2
-    module = _weight_module(n, lam, ctx)
+    module = weight_module(n, lam, ctx)
     tabs = standard_bitableaux(col_shape(n1, n2))
     by_word = {phi_map(t): t for t in tabs}
     if len(by_word) != len(tabs):
@@ -227,13 +221,12 @@ def _build_S_prime(n1, n2, ctx):
 # verification
 # ---------------------------------------------------------------------------
 
-def verify_phi_intertwines(n1, n2, params):
+def verify_phi_intertwines(n1, n2, ctx):
     """phi o g_i = g_i o phi for every i: with the aligned basis order this
     is matrix equality between the bitableau action and the word action."""
-    ctx = context(params)
     n = n1 + n2
-    rep = _build_S_prime(n1, n2, ctx)
-    module = _weight_module(n, n1 - n2, ctx)
+    rep = build_S_prime(n1, n2, ctx)
+    module = weight_module(n, n1 - n2, ctx)
     checks = []
     for i in range(1, n):
         gm = mat_sub_scalar_diag(module.U[i], -ctx.q)
@@ -244,11 +237,10 @@ def verify_phi_intertwines(n1, n2, params):
     return checks
 
 
-def verify_S_prime_relations(n1, n2, params):
+def verify_S_prime_relations(n1, n2, ctx):
     """The transported module satisfies the full defining relation set and
     the quotient identity; its blob form satisfies the blob relations."""
-    ctx = context(params)
-    rep = _build_S_prime(n1, n2, ctx)
+    rep = build_S_prime(n1, n2, ctx)
     checks = [RelationCheck(f"S':{name}", ok)
               for name, ok in ariki_koike_checks_matrices(rep.x, rep.g, ctx)]
     checks += [RelationCheck(f"S'_blob:{name}", ok)
@@ -257,10 +249,9 @@ def verify_S_prime_relations(n1, n2, params):
     return checks
 
 
-def verify_gi_quadratic_on_bitableaux(shape, params):
+def verify_gi_quadratic_on_bitableaux(shape, ctx):
     """(g_i - q)(g_i + q^-1) kills every standard bitableau, straight from
     the combinatorial rule."""
-    ctx = context(params)
     tabs = standard_bitableaux(shape)
     bad = None
     for i in range(1, shape.n):
@@ -279,10 +270,9 @@ def verify_gi_quadratic_on_bitableaux(shape, params):
     return [RelationCheck("gi_quadratic_on_bitableaux", bad is None, bad)]
 
 
-def xi_word_eigenvalue_checks(n1, n2, params):
+def xi_word_eigenvalue_checks(n1, n2, ctx):
     """X_i on the word 2^n2 1^n1: lambda2 q^(2(i-1)) for i <= n2 and
     lambda1 q^(2(i-n2-1)) beyond, computed with the tensor operators."""
-    ctx = context(params)
     n = n1 + n2
     w = "2" * n2 + "1" * n1
     xs = ops_Xk_ctx(n, ctx)
@@ -297,12 +287,11 @@ def xi_word_eigenvalue_checks(n1, n2, params):
     return checks
 
 
-def xi_bitableau_eigenvalue_checks(n1, n2, params):
+def xi_bitableau_eigenvalue_checks(n1, n2, ctx):
     """The same eigenvalues on the distinguished column bitableau, computed
     from the transported matrices via X_i = g_{i-1} X_{i-1} g_{i-1}."""
-    ctx = context(params)
     n = n1 + n2
-    rep = _build_S_prime(n1, n2, ctx)
+    rep = build_S_prime(n1, n2, ctx)
     t0 = special_col_bitableau(n1, n2)
     j = rep.labels.index(t0)
     xi = rep.x
@@ -319,11 +308,10 @@ def xi_bitableau_eigenvalue_checks(n1, n2, params):
     return checks
 
 
-def verify_dualize_properties(n1, n2, params):
+def verify_dualize_properties(n1, n2, ctx):
     """dualize is an involution, preserves the defining relations, and
     preserves the X spectrum (multiplicities of lam1 and lam2)."""
-    ctx = context(params)
-    rep = _build_S_prime(n1, n2, ctx)
+    rep = build_S_prime(n1, n2, ctx)
     dual = dualize(rep)
     checks = [RelationCheck("dualize_involution",
                             mat_eq(dualize(dual).x, rep.x) and all(
@@ -359,7 +347,7 @@ def dual_adjointness_check(n, lam, params):
     assuming either direction of the printed criterion."""
     ctx = context(params)
     label = WeightLabel(n, lam)
-    module = _weight_module(n, lam, ctx)
+    module = weight_module(n, lam, ctx)
     dual_u = [mat_transpose(u, module.dim) for u in module.U]
     e_dual = _e_matrix(dual_u, ctx)
     closure = invariant_closure([c for c in e_dual if c], dual_u)
@@ -368,7 +356,7 @@ def dual_adjointness_check(n, lam, params):
     sctx = ctx.swapped()
     swap_surj = _adjointness_surjective(n, -lam, sctx)
     swap_inj = _adjointness_injective(n, -lam, sctx)
-    swap_special = _special_scalar(WeightLabel(n, -lam), sctx)
+    swap_special = special_element_scalar(n, -lam, sctx)
 
     verdicts = [direct_surjective, swap_surj.surjective,
                 swap_surj.closure_rank == swap_surj.dim,

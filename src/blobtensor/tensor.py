@@ -14,9 +14,9 @@ Conventions:
   theta = S_n ... S_2; and X = T_2^-1 ... T_n^-1 theta varpi.
 * X_1 = X and X_k = T_k X_{k-1} T_k.
 
->>> from blobtensor.scalars import BlobParams
->>> p = BlobParams(2, 0, 2)
->>> v = op_T(2, p)("21")
+>>> from blobtensor.scalars import BlobParams, context
+>>> ctx = context(BlobParams(2, 0, 2))
+>>> v = op_T_ctx(2, 2, ctx)("21")
 >>> sorted(v) == ["12"]
 True
 """
@@ -28,7 +28,6 @@ import itertools
 from .linalg import vec_add_scaled, vec_sub
 from .relations import (Relation, RelationCheck, ariki_koike_relations,
                         blob_identity, evaluate, product, word)
-from .scalars import context
 
 
 # ---------------------------------------------------------------------------
@@ -43,10 +42,6 @@ def all_words(n):
 def weight_words(n, ones):
     """Words with the given number of 1s, lexicographic order."""
     return [w for w in all_words(n) if w.count("1") == ones]
-
-
-def vect_to_json(v, field):
-    return {w: field.serialize(c) for w, c in sorted(v.items())}
 
 
 # ---------------------------------------------------------------------------
@@ -232,32 +227,6 @@ def ops_Xk_ctx(n, ctx, kmax=None):
     return ops
 
 
-# params-facing wrappers -----------------------------------------------------
-
-def op_T(i, params):
-    return op_T_ctx(i, params.n, context(params))
-
-
-def op_T_inv(i, params):
-    return op_T_inv_ctx(i, params.n, context(params))
-
-
-def op_S(j, params):
-    return op_S_ctx(j, params.n, context(params))
-
-
-def op_theta_varpi(params):
-    return op_theta_varpi_ctx(params.n, context(params))
-
-
-def op_X(params):
-    return op_X_ctx(params.n, context(params))
-
-
-def op_Xk(k, params):
-    return ops_Xk_ctx(params.n, context(params), k)[k - 1]
-
-
 # ---------------------------------------------------------------------------
 # relation verification
 # ---------------------------------------------------------------------------
@@ -270,13 +239,12 @@ def weight_blocks(n, ops):
         yield basis, {op.name: op.matrix(basis) for op in ops}
 
 
-def verify_ariki_koike(n, params):
+def verify_ariki_koike(n, ctx):
     """Check the defining relations on every basis word of V^(x)n, through
     the matrices on each weight block.  Returns one RelationCheck per
     relation."""
     if n < 2:
         raise ValueError("relation suite needs n >= 2")
-    ctx = context(params)
     ops = [op_X_ctx(n, ctx), op_varpi_ctx(n, ctx), op_theta_varpi_ctx(n, ctx)]
     for i in range(2, n + 1):
         ops += [op_T_ctx(i, n, ctx), op_T_inv_ctx(i, n, ctx),
@@ -296,7 +264,7 @@ def verify_ariki_koike(n, params):
     return evaluate(rels, weight_blocks(n, ops), ctx.one)
 
 
-def verify_partial_rotation_fixing(j, p, n, params):
+def verify_partial_rotation_fixing(j, p, n, ctx):
     """For every basis word v with letter >= j at position p, check that
     T_{p+1}^-1 ... T_n^-1 S_n ... S_{p+1} fixes v modulo the span of words
     with letter >= j+1 at position p."""
@@ -304,7 +272,6 @@ def verify_partial_rotation_fixing(j, p, n, params):
         raise ValueError("j must be 1 or 2")
     if not 1 <= p <= n:
         raise ValueError(f"position {p} out of range 1..{n}")
-    ctx = context(params)
     comp = LinOp.identity(n, ctx)
     for r in range(p + 1, n + 1):
         comp = op_S_ctx(r, n, ctx) @ comp
@@ -322,10 +289,9 @@ def verify_partial_rotation_fixing(j, p, n, params):
                           bad is None, bad)]
 
 
-def verify_blob_identity(n, params):
+def verify_blob_identity(n, ctx):
     """The quotient identity (X T2 X T2 - lam1*lam2)(T2 - q) = 0 on every
     basis word, and its commuted form."""
-    ctx = context(params)
     rel = blob_identity("T2", ctx)
     commuted = Relation(rel.name + "_commuted",
                         product(*reversed(rel.lhs[0][1])), rel.rhs)

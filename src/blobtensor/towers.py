@@ -22,10 +22,8 @@ from math import comb
 from .blob import BlobAction
 from .linalg import (mat_eq, mat_is_zero, mat_mul, mat_sub_scalar_diag,
                      mat_vec, nullspace, vec_add_scaled, vec_eq)
-from .scalars import context
 from .tensor import RelationCheck, ops_Xk_ctx
-from .weightmod import (WeightLabel, _weight_module, lambda_range,
-                        weight_basis)
+from .weightmod import WeightLabel, lambda_range, weight_basis, weight_module
 
 
 # ---------------------------------------------------------------------------
@@ -58,21 +56,17 @@ class RestrictionData:
                 "dims_match": self.dims_match, "ok": self.ok}
 
 
-def restriction_sequence(n, lam, params):
+def restriction_sequence(n, lam, ctx):
     """Verify the exact sequence 0 -> M_{n-1}(lam-1) -> res M_n(lam) ->
     M_{n-1}(lam+1) -> 0 concretely: invariance of the words-ending-in-1
     span and both drop-last-letter intertwinings, generator by generator."""
-    return _restriction_sequence(n, lam, context(params))
-
-
-def _restriction_sequence(n, lam, ctx):
     if n < 2:
         raise ValueError("restriction needs n >= 2")
     if abs(lam) == n:
         raise ValueError("lambda = +-n does not restrict in two pieces")
-    big = _weight_module(n, lam, ctx)
-    small_minus = _weight_module(n - 1, lam - 1, ctx)
-    small_plus = _weight_module(n - 1, lam + 1, ctx)
+    big = weight_module(n, lam, ctx)
+    small_minus = weight_module(n - 1, lam - 1, ctx)
+    small_plus = weight_module(n - 1, lam + 1, ctx)
     action_small = BlobAction(n - 1, ctx)
 
     sub_words = [w for w in big.basis if w[-1] == "1"]
@@ -149,11 +143,10 @@ class CentralScalarReport:
                 "central": self.central, "ok": self.ok}
 
 
-def verify_central_z(n, lam, params):
+def verify_central_z(n, lam, ctx):
     """z_n acts on M_n(lam) by the closed-form scalar, and commutes with
     every generator matrix."""
-    ctx = context(params)
-    module = _weight_module(n, lam, ctx)
+    module = weight_module(n, lam, ctx)
     zmat = central_z(n, n, ctx).matrix(module.basis)
     expect = z_scalar_formula(module.label, ctx)
     scalar_ok = all(vec_eq(zmat[j], {j: expect}) for j in range(module.dim))
@@ -186,7 +179,7 @@ class SplittingResult:
                 "complement_search": self.complement}
 
 
-def splitting_check(n, lam, params):
+def splitting_check(n, lam, ctx):
     """Decide splitting of res M_n(lam) by the eigenvalues of z_{n-1}.
 
     Off the wall (distinct scalars) the two eigenspaces must have the
@@ -195,13 +188,12 @@ def splitting_check(n, lam, params):
     the exact certificate z_{n-1} - s != 0 (see `_wall_complement_search`)
     is reported as `complement`.  The wall verdict itself stays
     "undetermined"."""
-    ctx = context(params)
     if n < 3:
         raise ValueError("splitting analysis needs n >= 3")
     label = WeightLabel(n, lam)
     if abs(lam) == n:
         raise ValueError("lambda = +-n does not restrict in two pieces")
-    module = _weight_module(n, lam, ctx)
+    module = weight_module(n, lam, ctx)
     zmat = central_z(n - 1, n, ctx).matrix(module.basis)
     s_minus = z_scalar_formula(WeightLabel(n - 1, lam - 1), ctx)
     s_plus = z_scalar_formula(WeightLabel(n - 1, lam + 1), ctx)
@@ -252,7 +244,7 @@ def x_multiplicity_entry(n, lam):
     return comb(n - 1, label.a)
 
 
-def x_multiplicity_table(n_max, params=None):
+def x_multiplicity_table(n_max):
     """Rows n = 1..n_max of the eigenvalue-multiplicity triangle, columns
     lam = -n..n ascending."""
     if n_max < 1:
@@ -286,11 +278,10 @@ def verify_triangle(n_max):
     return checks
 
 
-def verify_x_triangular(n, lam, params):
+def verify_x_triangular(n, lam, ctx):
     """In the 2-initial-first basis order the matrix of X is upper triangular
     with lambda2 on the first |B2| diagonal entries and lambda1 after."""
-    ctx = context(params)
-    module = _weight_module(n, lam, ctx)
+    module = weight_module(n, lam, ctx)
     xmat = mat_sub_scalar_diag(module.U[0], -ctx.lam1)
     b2 = sum(1 for w in module.basis if w[0] == "2")
     bad = None
@@ -325,11 +316,10 @@ def smallcase_golden(ctx):
     return {"U1": u1, "X": x, "U0": u0}
 
 
-def verify_smallcase_matrices(params):
+def verify_smallcase_matrices(ctx):
     """Recompute the matrices of U1, X, U0 on M_2(0) (basis order 12, 21)
     from the operators, compare them entry-exactly with the golden forms,
     and check the nonzero coefficient of U0 applied to q^-1*12 - 21."""
-    ctx = context(params)
     action = BlobAction(2, ctx)
     basis = ["12", "21"]
     from .tensor import op_X_ctx

@@ -115,13 +115,8 @@ class WeightModule:
 
 
 @lru_cache(maxsize=128)
-def _weight_module(n, lam, ctx):
+def weight_module(n, lam, ctx):
     return WeightModule(n, lam, ctx)
-
-
-def weight_module(params, lam, n=None):
-    n = params.n if n is None else n
-    return _weight_module(n, lam, context(params))
 
 
 # ---------------------------------------------------------------------------
@@ -209,19 +204,15 @@ class UnderlineMapResult:
                 "ok": self.ok}
 
 
-def underline_map(n, lam, params):
+def underline_map(n, lam, ctx):
     """The map w -> q^-1 w12 - w21 from M_{n-2}(lam) onto eM_n(lam), with the
     intertwining checks for every b_{n-2} generator."""
-    return _underline_map(n, lam, context(params))
-
-
-def _underline_map(n, lam, ctx):
     if n < 3:
         raise ValueError("localization comparison needs n >= 3")
     if abs(lam) == n:
         raise ValueError("lambda = +-n localizes to zero; the map is undefined")
-    big = _weight_module(n, lam, ctx)
-    small = _weight_module(n - 2, lam, ctx)
+    big = weight_module(n, lam, ctx)
+    small = weight_module(n - 2, lam, ctx)
     fcols = [big.coords(underline_vect(w, "", ctx)) for w in small.basis]
     emat = _e_matrix(big.U, ctx)
     # image sits inside eM and spans it
@@ -277,18 +268,10 @@ class QuotientScalars:
             self.scalar_w == self.computed_w
 
 
-def quotient_Q_scalars(n, lam, params):
-    """The scalar of X on the one-dimensional straightening quotient,
-    computed from both canonical generators; returns the pair
-    (lam1 q^(-2 n2), lam2) after checking the recomputation agrees."""
-    rec = quotient_scalar_record(n, lam, context(params))
-    if not rec.ok:
-        raise ArithmeticError(
-            f"straightening recomputation disagrees at n={n}, lambda={lam}")
-    return rec.scalar_v, rec.scalar_w
-
-
 def quotient_scalar_record(n, lam, ctx):
+    """The scalar of X on the one-dimensional straightening quotient,
+    computed from both canonical generators, beside the closed forms
+    lam1 q^(-2 n2) and lam2."""
     from .tensor import op_X_ctx
 
     label = WeightLabel(n, lam)
@@ -305,13 +288,10 @@ def quotient_scalar_record(n, lam, ctx):
                            computed_v, computed_w)
 
 
-def special_element_scalar(n, lam, params):
+def special_element_scalar(n, lam, ctx):
     """-lam2 q^(2 n2 + n1 - 2) + lam1 q^(n1 - 2); vanishes exactly when the
     localization counit fails to be onto."""
-    return _special_scalar(WeightLabel(n, lam), context(params))
-
-
-def _special_scalar(label, ctx):
+    label = WeightLabel(n, lam)
     n1, n2 = label.n1, label.n2
     return (-ctx.lam2) * ctx.q_pow(2 * n2 + n1 - 2) \
         + ctx.lam1 * ctx.q_pow(n1 - 2)
@@ -362,20 +342,16 @@ class SurjectivityResult:
         return self.dim - self.rank_span
 
 
-def adjointness_surjective(n, lam, params):
+def _adjointness_surjective(n, lam, ctx):
     """Is the counit G F M_n(lam) -> M_n(lam) onto?  Computed two ways: the
     rank of the explicit family I1 u I2, and the closure of eM under the
     generator matrices; both ranks and the spans themselves are compared."""
-    return _adjointness_surjective(n, lam, context(params))
-
-
-def _adjointness_surjective(n, lam, ctx):
     if n < 3:
         raise ValueError("adjointness tests need n >= 3")
     label = WeightLabel(n, lam)
     if abs(lam) == n:
         raise ValueError("lambda = +-n is outside the adjointness setting")
-    module = _weight_module(n, lam, ctx)
+    module = weight_module(n, lam, ctx)
     i1, i2 = _image_family(n, label, ctx)
     span = SpanSolver()
     # the rank does not depend on the order, but the fill-in does: the
@@ -435,19 +411,15 @@ class InjectivityResult:
         return self.independent
 
 
-def adjointness_injective(n, lam, params):
+def _adjointness_injective(n, lam, ctx):
     """Linear independence of the canonical generating family; by the
     straightening analysis this decides injectivity of the counit."""
-    return _adjointness_injective(n, lam, context(params))
-
-
-def _adjointness_injective(n, lam, ctx):
     if n < 3:
         raise ValueError("adjointness tests need n >= 3")
     label = WeightLabel(n, lam)
     if abs(lam) == n:
         raise ValueError("lambda = +-n is outside the adjointness setting")
-    module = _weight_module(n, lam, ctx)
+    module = weight_module(n, lam, ctx)
     tl, dec = _canonical_family(n, label, ctx)
     span = SpanSolver()
     for v in tl:
@@ -457,7 +429,7 @@ def _adjointness_injective(n, lam, ctx):
     # the class of 2^n2 1^n1
     unit = module.coords({"2" * label.n2 + "1" * label.n1: ctx.one})
     shifted = vec_sub(module.coords(dec),
-                      vec_scale(unit, _special_scalar(label, ctx)))
+                      vec_scale(unit, special_element_scalar(n, lam, ctx)))
     decorated_ok = span.contains(shifted)
     span.insert(module.coords(dec))
     return InjectivityResult(n, lam, module.dim, len(tl) + 1, span.rank,
@@ -471,7 +443,7 @@ def adjointness_record(n, lam, params):
     label = WeightLabel(n, lam)
     surj = _adjointness_surjective(n, lam, ctx)
     inj = _adjointness_injective(n, lam, ctx)
-    special = _special_scalar(label, ctx)
+    special = special_element_scalar(n, lam, ctx)
     qs = quotient_scalar_record(n, lam, ctx)
     expected = not residues_equal(label.n2, params.m, params.l)
     verdicts = [surj.surjective, surj.closure_rank == surj.dim,
@@ -504,10 +476,9 @@ def adjointness_record(n, lam, params):
 # formal ("trivial") relations among the underline symbols
 # ---------------------------------------------------------------------------
 
-def verify_trivial_relations(n, lam, params):
+def verify_trivial_relations(n, lam, ctx):
     """The two systems of formal relations between shifted underline elements
     and the decorated elements, expanded to plain vectors in M_n(lam)."""
-    ctx = context(params)
     label = WeightLabel(n, lam)
     n1, n2 = label.n1, label.n2
     checks = []
@@ -566,10 +537,10 @@ def verify_trivial_relations(n, lam, params):
     return checks
 
 
-def verify_module_blob_relations(n, lam, params):
+def verify_module_blob_relations(n, lam, ctx):
     """Re-run the blob relations on the generator matrices of M_n(lam), and
     again on their transposes (the defining relations are *-symmetric)."""
-    module = weight_module(params, lam, n)
+    module = weight_module(n, lam, ctx)
     checks = [RelationCheck(f"module:{name}", ok)
               for name, ok in blob_relation_checks_matrices(module.U,
                                                             module.ctx)]

@@ -1,0 +1,78 @@
+"""API guards: parameters stop at the CLI and the record builders, and every
+name the benchmark trace wraps exists in the package."""
+
+import ast
+import importlib
+import inspect
+import runpy
+from pathlib import Path
+
+from blobtensor import blob, specht, tensor, towers, weightmod
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+# these write l and m into their records and compute the residue verdicts
+RECORD_BUILDERS = {"weightmod.adjointness_record",
+                   "specht.dual_adjointness_check",
+                   "towers.SplittingResult.to_record"}
+
+
+def _functions(module):
+    """(qualified name, function) for every function and method defined in
+    the module, cached functions unwrapped."""
+    short = module.__name__.rsplit(".", 1)[1]
+    for name, obj in vars(module).items():
+        if inspect.isclass(obj) and obj.__module__ == module.__name__:
+            for attr, member in vars(obj).items():
+                if isinstance(member, (staticmethod, classmethod)):
+                    member = member.__func__
+                if inspect.isfunction(member):
+                    yield f"{short}.{name}.{attr}", member
+            continue
+        fn = inspect.unwrap(obj) if callable(obj) else None
+        if inspect.isfunction(fn) and fn.__module__ == module.__name__:
+            yield f"{short}.{name}", fn
+
+
+def test_only_record_builders_take_params():
+    takers = set()
+    for module in (tensor, blob, weightmod, specht, towers):
+        for name, fn in _functions(module):
+            if any("params" in p
+                   for p in inspect.signature(fn).parameters):
+                takers.add(name)
+        # no computation below the CLI reads the length from params
+        tree = ast.parse(inspect.getsource(module))
+        assert not any(isinstance(node, ast.Attribute) and node.attr == "n"
+                       and isinstance(node.value, ast.Name)
+                       and node.value.id == "params"
+                       for node in ast.walk(tree)), module.__name__
+    assert takers == RECORD_BUILDERS
+
+
+def test_traced_names_resolve():
+    layers = runpy.run_path(str(PERFBENCH / "layers.py"))
+    missing = []
+    for module, qualname, *_ in layers["targets"]():
+        home = importlib.import_module(f"blobtensor.{module}")
+        cls_name, _, attr = qualname.rpartition(".")
+        if cls_name:
+            cls = getattr(home, cls_name, None)
+            found = isinstance(cls, type) and attr in vars(cls)
+        else:
+            found = callable(getattr(home, attr, None))
+        if not found:
+            missing.append(f"{module}.{qualname}")
+    assert not missing
+    # a metric pinned to one binding site needs that module to bind the
+    # function under the same name
+    for spec in layers["METRICS"].values():
+        patterns = spec[2] if isinstance(spec[2], list) else []
+        for pattern in patterns:
+            label, _, site = pattern.partition("@")
+            if not site or "*" in site:
+                continue
+            module, name = label.split(".", 1)
+            home = importlib.import_module(f"blobtensor.{module}")
+            bound = importlib.import_module(f"blobtensor.{site}")
+            assert getattr(bound, name, None) is getattr(home, name), pattern

@@ -1,10 +1,12 @@
 """CLI: exit codes, report shapes, skip logic, determinism."""
 
+import hashlib
 import json
 import os
 import subprocess
 import sys
 import tempfile
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -13,6 +15,7 @@ from hypothesis import strategies as st
 from blobtensor.cli import main
 
 CLI = [sys.executable, "-m", "blobtensor.cli"]
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
 def run_cli(args, env_extra=None):
@@ -83,6 +86,19 @@ def test_n_below_command_minimum_is_skipped(tmp_path, capsys):
         [(1, "n_below_min")]
 
 
+def test_negative_list_as_separate_value(tmp_path):
+    # argparse takes a bare "-1,2" for an option; both spellings must parse
+    reports = []
+    for flags in (["--m", "-1,2"], ["--m=-1,2"]):
+        out = tmp_path / "report.json"
+        rc = main(["verify-relations", "--n", "2", "--l", "5", *flags,
+                   "--out", str(out)])
+        assert rc == 0
+        reports.append(out.read_bytes())
+    assert reports[0] == reports[1]
+    assert [r["m"] for r in json.loads(reports[0])["results"]] == [-1, 2]
+
+
 def test_empty_grid_exit_zero(capsys):
     rc = main(["verify-relations", "--n", "2", "--l", "", "--m", "2"])
     assert rc == 0
@@ -137,9 +153,9 @@ def test_perturbed_special_scalar_fails_point(tmp_path, monkeypatch):
     args = ["adjointness", "--n", "3", "--l", "5", "--m", "2",
             "--lambda", "1", "--out", str(tmp_path / "adj.json")]
     assert main(args) == 0
-    orig = weightmod._special_scalar
-    monkeypatch.setattr(weightmod, "_special_scalar",
-                        lambda label, ctx: orig(label, ctx) + ctx.one)
+    orig = weightmod.special_element_scalar
+    monkeypatch.setattr(weightmod, "special_element_scalar",
+                        lambda n, lam, ctx: orig(n, lam, ctx) + ctx.one)
     assert main(args) == 1
     report = json.loads((tmp_path / "adj.json").read_text())
     assert not report["ok"]
@@ -369,12 +385,11 @@ def small_grids(draw):
                        max_size=2, unique=True))
     ms = draw(st.lists(st.integers(-3, 6), min_size=1, max_size=2,
                        unique=True))
-    # "--m=-1,0": argparse takes a bare "-1,0" for an option
-    argv = [command, *n, "--l=" + ",".join(map(str, ls)),
-            "--m=" + ",".join(map(str, ms))]
+    argv = [command, *n, "--l", ",".join(map(str, ls)),
+            "--m", ",".join(map(str, ms))]
     if command in ("adjointness", "localize", "restrict"):
         lam = draw(st.one_of(st.just("all"), st.integers(-5, 5).map(str)))
-        argv.append(f"--lambda={lam}")
+        argv += ["--lambda", lam]
     return argv
 
 
@@ -390,3 +405,21 @@ def test_well_formed_grids_never_fail(argv):
     assert rc in (0, 1), argv
     if rc == 1:
         assert report["results"] == [] and report["skipped"] == [], argv
+
+
+def test_reports_match_benchmark_digests(tmp_path):
+    # the benchmark's pinned report bytes, first m of each workload
+    workloads = json.loads((PERFBENCH / "workloads.json").read_text())
+    digests = json.loads((PERFBENCH / "digests.json").read_text())
+    out = tmp_path / "report.json"
+    for name, spec in workloads.items():
+        m = spec["m_pool"][0]
+        pins = digests[name][str(m)]
+        assert len(pins) == len(spec["commands"]), name
+        for command, pin in zip(spec["commands"], pins):
+            argv = [a.replace("{m}", str(m)) for a in command]
+            assert argv == pin["argv"]
+            assert main(argv + ["--out", str(out)]) == 0, argv
+            data = out.read_bytes()
+            assert len(json.loads(data)["results"]) == pin["points"], argv
+            assert hashlib.sha256(data).hexdigest() == pin["sha256"], argv

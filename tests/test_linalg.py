@@ -67,6 +67,12 @@ def test_nullspace_and_rank_nullity(field, rows):
     assert len(basis) == dim - dense_rank_fractions(rows)
     for v in basis:
         assert mat_vec(cols, v) == {}
+        # one kernel vector per column that depends on the earlier ones,
+        # with coefficient one at that column
+        j = max(v)
+        assert v[j] == field.one
+        assert span_rank(cols[:j + 1]) == span_rank(cols[:j])
+    assert len({max(v) for v in basis}) == len(basis)
     # kernel vectors are independent
     assert span_rank(basis) == len(basis)
 

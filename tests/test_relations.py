@@ -111,9 +111,9 @@ def test_wrong_T_coefficient_fails_with_first_word():
 
 
 def test_perturbed_S_prime_X_fails_quadratic(monkeypatch):
-    params = BlobParams(4, 0, 2)
-    assert all(c.ok for c in specht.verify_S_prime_relations(2, 2, params))
-    build = specht._build_S_prime
+    ctx = context(BlobParams(4, 0, 2))
+    assert all(c.ok for c in specht.verify_S_prime_relations(2, 2, ctx))
+    build = specht.build_S_prime
 
     def perturbed(n1, n2, ctx):
         # a copy: the built representation is cached
@@ -122,9 +122,9 @@ def test_perturbed_S_prime_X_fails_quadratic(monkeypatch):
         x[3][3] = x[3][3] + ctx.one
         return specht.MatrixRep(rep.labels, x, rep.g, ctx)
 
-    monkeypatch.setattr(specht, "_build_S_prime", perturbed)
+    monkeypatch.setattr(specht, "build_S_prime", perturbed)
     checks = {c.name: c.ok
-              for c in specht.verify_S_prime_relations(2, 2, params)}
+              for c in specht.verify_S_prime_relations(2, 2, ctx)}
     assert not checks["S':quadratic(X)"]
     braids = [name for name in checks if name.startswith("S':braid(g")]
     assert braids and all(checks[name] for name in braids)

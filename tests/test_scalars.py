@@ -14,11 +14,13 @@ import blobtensor.scalars as scalars_module
 from blobtensor.scalars import (GENERIC, BlobParams, GenericScalar,
                                 ParameterError, check_params, context,
                                 cyclotomic_field, cyclotomic_polynomial,
-                                effective_max_n, gauss_integer, lambda_params,
-                                residues_equal, specialize, validate_params)
+                                effective_max_n, residues_equal, specialize,
+                                validate_params)
 
 P_GEN = BlobParams(3, 0, 2)
 P5 = BlobParams(3, 5, 2)
+C_GEN = context(P_GEN)
+C5 = context(P5)
 
 
 def frac_poly_div(num_low, num, den_low, den):
@@ -46,48 +48,49 @@ def as_expo_dict(x):
 
 
 def test_gauss_integer_trivial_values():
-    assert gauss_integer(0, P_GEN).is_zero()
-    assert gauss_integer(1, P_GEN) == GENERIC.one
+    assert C_GEN.gauss(0).is_zero()
+    assert C_GEN.gauss(1) == GENERIC.one
 
 
 def test_gauss_integer_two_matches_division_oracle():
     # [2] = (q^2 - q^-2)/(q - q^-1) expanded by independent long division
     oracle = frac_poly_div(-2, (-1, 0, 0, 0, 1), -1, (-1, 0, 1))
     assert oracle == {1: Fraction(1), -1: Fraction(1)}
-    two = gauss_integer(2, P_GEN)
+    two = C_GEN.gauss(2)
     assert two.den == (1,)
     assert as_expo_dict(two) == oracle
     assert str(two) == "1*q^-1+1*q^1/1*q^0"
 
 
 def test_gauss_integer_vanishes_at_root_of_unity():
-    assert gauss_integer(5, P5).is_zero()
-    assert gauss_integer(7, BlobParams(3, 7, 2)).is_zero()
-    assert not gauss_integer(5, BlobParams(3, 7, 2)).is_zero()
+    assert C5.gauss(5).is_zero()
+    c7 = context(BlobParams(3, 7, 2))
+    assert c7.gauss(7).is_zero()
+    assert not c7.gauss(5).is_zero()
 
 
 @given(st.integers(-12, 12))
 def test_gauss_negation(k):
-    assert gauss_integer(k, P_GEN) == -gauss_integer(-k, P_GEN)
+    assert C_GEN.gauss(k) == -C_GEN.gauss(-k)
 
 
 @given(st.integers(-10, 10))
 @settings(max_examples=40)
 def test_gauss_recursion(k):
     # [k+1] = q [k] + q^-k
-    ctx = context(P_GEN)
-    assert gauss_integer(k + 1, P_GEN) == \
-        ctx.q * gauss_integer(k, P_GEN) + ctx.q_pow(-k)
+    ctx = C_GEN
+    assert ctx.gauss(k + 1) == ctx.q * ctx.gauss(k) + ctx.q_pow(-k)
 
 
 def test_lambda_params_difference_is_gauss_m():
     for params in (P_GEN, P5, BlobParams(3, 7, 3), BlobParams(3, 0, -3)):
-        lam1, lam2 = lambda_params(params)
-        assert lam1 - lam2 == gauss_integer(params.m, params)
+        ctx = context(params)
+        assert ctx.lam1 - ctx.lam2 == ctx.gauss(params.m)
 
 
 def test_lambda_params_closed_forms():
-    lam1, lam2 = lambda_params(BlobParams(2, 0, 2))
+    ctx = context(BlobParams(2, 0, 2))
+    lam1, lam2 = ctx.lam1, ctx.lam2
     q = GENERIC.q
     u = q - q.inv()
     assert lam1 == (q ** 2) / u
@@ -101,9 +104,8 @@ def test_lambda_params_closed_forms():
 @given(st.integers(-8, 8).filter(lambda m: m not in (0, 1)))
 @settings(max_examples=30)
 def test_lambda_ratio_is_q_2m(m):
-    params = BlobParams(2, 0, m)
-    lam1, lam2 = lambda_params(params)
-    assert lam1 / lam2 == GENERIC.q ** (2 * m)
+    ctx = context(BlobParams(2, 0, m))
+    assert ctx.lam1 / ctx.lam2 == GENERIC.q ** (2 * m)
 
 
 def test_validate_params_codes():
@@ -128,9 +130,9 @@ def test_field_axioms_and_inverse():
     with pytest.raises(ZeroDivisionError):
         GENERIC.zero.inv()
     F5 = cyclotomic_field(5)
-    assert gauss_integer(5, P5).is_zero()
+    assert C5.gauss(5).is_zero()
     with pytest.raises(ZeroDivisionError):
-        gauss_integer(5, P5).inv()
+        C5.gauss(5).inv()
     assert (F5.q + F5.one).inv() * (F5.q + F5.one) == F5.one
 
 
@@ -294,7 +296,7 @@ def test_cross_backend_equality_is_type_error():
 
 def test_canonical_idempotence():
     # re-normalizing a canonical value changes nothing
-    lam1, _ = lambda_params(P_GEN)
+    lam1 = C_GEN.lam1
     again = GenericScalar.make(lam1.shift, lam1.num, lam1.den)
     assert (again.shift, again.num, again.den) == \
         (lam1.shift, lam1.num, lam1.den)
@@ -314,7 +316,7 @@ def test_denominator_normalization():
 
 def test_serialization_round_trip_generic():
     values = [GENERIC.zero, GENERIC.one, GENERIC.q ** -3,
-              lambda_params(P_GEN)[0],
+              C_GEN.lam1,
               (GENERIC.q ** 2 - GENERIC.from_int(7)) /
               (GENERIC.q ** 5 + GENERIC.q.inv() * GENERIC.from_int(3))]
     for v in values:

@@ -17,7 +17,7 @@ from blobtensor.specht import (Bitableau, Shape, build_S_prime, col_shape,
                                xi_word_eigenvalue_checks)
 from blobtensor.weightmod import lambda_range, weight_basis
 
-P4 = BlobParams(4, 0, 2)
+C4 = context(BlobParams(4, 0, 2))
 
 
 def test_shape_validation():
@@ -50,29 +50,28 @@ def test_bitableau_validation_and_json():
 
 
 def test_gi_action_cases():
-    ctx = context(P4)
+    ctx = C4
     shape = row_shape(2, 2)
     t = Bitableau(shape, (1, 2), (3, 4))
     # i, i+1 in the same component -> q[t]
-    assert gi_action(1, t, P4) == {t: ctx.q}
-    assert gi_action(3, t, P4) == {t: ctx.q}
+    assert gi_action(1, t, ctx) == {t: ctx.q}
+    assert gi_action(3, t, ctx) == {t: ctx.q}
     # i in t1, i+1 in t2 -> swap
-    out = gi_action(2, t, P4)
+    out = gi_action(2, t, ctx)
     swapped = Bitableau(shape, (1, 3), (2, 4))
     assert out == {swapped: ctx.one}
     # i+1 in t1, i in t2 -> swap + (q - q^-1)
-    out = gi_action(2, swapped, P4)
+    out = gi_action(2, swapped, ctx)
     assert out == {t: ctx.one, swapped: ctx.q_minus_qinv}
     with pytest.raises(ValueError):
-        gi_action(4, t, P4)
+        gi_action(4, t, ctx)
 
 
 @pytest.mark.parametrize("shape", [row_shape(2, 2), col_shape(2, 1),
                                    col_shape(2, 3), row_shape(3, 1)])
 def test_gi_quadratic(shape):
-    params = BlobParams(shape.n, 0, 2)
     assert all(c.ok
-               for c in verify_gi_quadratic_on_bitableaux(shape, params))
+               for c in verify_gi_quadratic_on_bitableaux(shape, C4))
 
 
 def test_phi_examples():
@@ -95,17 +94,17 @@ def test_phi_bijective_onto_weight_basis():
 
 @pytest.mark.parametrize("l,m", [(0, 2), (5, 2), (7, 3)])
 def test_phi_intertwines_and_relations(l, m):
+    ctx = context(BlobParams(2, l, m))
     for n in range(2, 6):
-        params = BlobParams(n, l, m)
         for n1 in range(n + 1):
             n2 = n - n1
-            assert all(c.ok for c in verify_phi_intertwines(n1, n2, params))
+            assert all(c.ok for c in verify_phi_intertwines(n1, n2, ctx))
             assert all(c.ok
-                       for c in verify_S_prime_relations(n1, n2, params))
+                       for c in verify_S_prime_relations(n1, n2, ctx))
 
 
 def test_build_S_prime_shape():
-    rep = build_S_prime(2, 2, P4)
+    rep = build_S_prime(2, 2, C4)
     assert rep.dim == 6
     assert rep.n == 4
     assert phi_map(rep.labels[0]) == weight_basis(4, 0)[0]
@@ -114,20 +113,19 @@ def test_build_S_prime_shape():
 @pytest.mark.parametrize("n1,n2", [(1, 1), (2, 1), (1, 2), (2, 2), (3, 2)])
 def test_xi_eigenvalue_displays(n1, n2):
     for l, m in ((0, 2), (5, 3)):
-        params = BlobParams(n1 + n2, l, m)
-        assert all(c.ok for c in xi_word_eigenvalue_checks(n1, n2, params))
+        ctx = context(BlobParams(n1 + n2, l, m))
+        assert all(c.ok for c in xi_word_eigenvalue_checks(n1, n2, ctx))
         assert all(c.ok
-                   for c in xi_bitableau_eigenvalue_checks(n1, n2, params))
+                   for c in xi_bitableau_eigenvalue_checks(n1, n2, ctx))
 
 
 def test_dualize_involution_and_relations():
     for n1, n2 in ((2, 2), (3, 1)):
-        params = BlobParams(n1 + n2, 0, 2)
-        assert all(c.ok for c in verify_dualize_properties(n1, n2, params))
+        assert all(c.ok for c in verify_dualize_properties(n1, n2, C4))
 
 
 def test_dualize_transposes():
-    rep = build_S_prime(2, 1, BlobParams(3, 0, 2))
+    rep = build_S_prime(2, 1, C4)
     dual = dualize(rep)
     for j, col in enumerate(rep.x):
         for i, c in col.items():
@@ -167,15 +165,14 @@ def test_dual_multiplicities_match_swapped_model():
     # parameter-swapped model the 2-initial block carries lambda1 instead of
     # lambda2 while the total multiplicities agree with the original module
     from blobtensor.linalg import mat_sub_scalar_diag, mat_transpose, span_rank
-    from blobtensor.scalars import context
-    from blobtensor.weightmod import _weight_module
+    from blobtensor.weightmod import weight_module
 
+    ctx = C4
     for n, lam in ((4, 0), (5, 1), (5, -3)):
-        ctx = context(BlobParams(n, 0, 2))
-        module = _weight_module(n, lam, ctx)
+        module = weight_module(n, lam, ctx)
         x = mat_sub_scalar_diag(module.U[0], -ctx.lam1)
         xt = mat_transpose(x, module.dim)
-        swap = _weight_module(n, -lam, ctx.swapped())
+        swap = weight_module(n, -lam, ctx.swapped())
         xs = mat_sub_scalar_diag(swap.U[0], -ctx.lam2)  # lam1' = lam2
         for val in (ctx.lam1, ctx.lam2):
             mult = module.dim - span_rank(mat_sub_scalar_diag(x, val))

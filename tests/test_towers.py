@@ -8,7 +8,7 @@ import pytest
 from blobtensor import towers
 from blobtensor.linalg import vec_eq
 from blobtensor.scalars import BlobParams, context, residues_equal
-from blobtensor.tensor import op_S, op_T_inv
+from blobtensor.tensor import op_S_ctx, op_T_inv_ctx
 from blobtensor.towers import (central_z, restriction_sequence,
                                smallcase_golden, verify_smallcase_matrices,
                                splitting_check, verify_central_z,
@@ -17,14 +17,13 @@ from blobtensor.towers import (central_z, restriction_sequence,
                                z_scalar_formula)
 from blobtensor.weightmod import WeightLabel, lambda_range
 
-P4 = BlobParams(4, 0, 2)
+C4 = context(BlobParams(4, 0, 2))
 
 
 def test_restriction_bridge_spot_checks():
     # T_n^-1 S_n fixes x11 and maps x12 to x12 modulo words ending in 1
-    params = BlobParams(3, 0, 2)
-    ctx = context(params)
-    comp = op_T_inv(3, params) @ op_S(3, params)
+    ctx = C4
+    comp = op_T_inv_ctx(3, 3, ctx) @ op_S_ctx(3, 3, ctx)
     assert comp.apply_word("111") == {"111": ctx.one}
     assert comp.apply_word("211") == {"211": ctx.one}
     out = dict(comp.apply_word("112"))
@@ -34,10 +33,10 @@ def test_restriction_bridge_spot_checks():
 
 @pytest.mark.parametrize("l,m", [(0, 2), (5, 2), (3, 2)])
 def test_restriction_sequence(l, m):
+    ctx = context(BlobParams(2, l, m))
     for n in range(2, 7):
-        params = BlobParams(n, l, m)
         for lam in lambda_range(n)[1:-1]:
-            res = restriction_sequence(n, lam, params)
+            res = restriction_sequence(n, lam, ctx)
             assert res.ok, (n, lam, res.to_record())
             lab = WeightLabel(n, lam)
             assert len(res.sub_basis) == comb(n - 1, lab.a - 1)
@@ -46,12 +45,11 @@ def test_restriction_sequence(l, m):
 
 def test_restriction_rejects_extremes():
     with pytest.raises(ValueError):
-        restriction_sequence(4, 4, P4)
+        restriction_sequence(4, 4, C4)
 
 
 def test_central_z_scalar_m31():
-    params = BlobParams(3, 0, 2)
-    ctx = context(params)
+    ctx = C4
     z = central_z(3, 3, ctx)
     expect = (ctx.lam1 ** 2) * ctx.lam2 * (ctx.q ** 2)
     assert z_scalar_formula(WeightLabel(3, 1), ctx) == expect
@@ -61,16 +59,16 @@ def test_central_z_scalar_m31():
 
 @pytest.mark.parametrize("l,m", [(0, 2), (5, 2), (7, 3)])
 def test_central_z_grid(l, m):
+    ctx = context(BlobParams(2, l, m))
     for n in range(2, 6):
-        params = BlobParams(n, l, m)
         for lam in lambda_range(n):
-            rep = verify_central_z(n, lam, params)
+            rep = verify_central_z(n, lam, ctx)
             assert rep.ok, (n, lam, rep.to_record())
 
 
 def test_central_z_range_check():
     with pytest.raises(ValueError):
-        central_z(5, 4, context(P4))
+        central_z(5, 4, C4)
 
 
 def test_non_central_z_fails(monkeypatch):
@@ -79,46 +77,35 @@ def test_non_central_z_fails(monkeypatch):
 
     monkeypatch.setattr(towers, "central_z",
                         lambda k, n, ctx: op_X_ctx(n, ctx))
-    rep = verify_central_z(4, 0, BlobParams(4, 5, 2))
+    rep = verify_central_z(4, 0, context(BlobParams(4, 5, 2)))
     assert not rep.scalar_matches and not rep.central and not rep.ok
 
 
-def test_records_do_not_depend_on_params_n():
-    # z is built for the n being checked, whatever params.n says
-    for n, lam, other in ((4, 0, 5), (5, 1, 4), (5, -1, 3)):
-        for l in (0, 5):
-            params, stray = BlobParams(n, l, 2), BlobParams(other, l, 2)
-            assert verify_central_z(n, lam, stray).to_record() == \
-                verify_central_z(n, lam, params).to_record()
-            assert splitting_check(n, lam, stray).to_record(stray) == \
-                splitting_check(n, lam, params).to_record(params)
-    res = splitting_check(5, 1, BlobParams(4, 0, 2))
-    assert res.split is True and res.eig_dims == res.eig_dims_expected
-
-
 def test_splitting_generic_and_cyclotomic():
-    res = splitting_check(4, 0, BlobParams(4, 5, 2))
+    res = splitting_check(4, 0, context(BlobParams(4, 5, 2)))
     assert not res.wall and res.split is True
     assert res.eig_dims == (3, 3)
 
     # wall case: lambda = -m mod l
-    res = splitting_check(4, -2, BlobParams(4, 3, 2))
+    res = splitting_check(4, -2, context(BlobParams(4, 3, 2)))
     assert res.wall and res.split == "undetermined"
     assert res.complement == "none"
 
     # generic wall happens exactly at lambda = -m
-    res = splitting_check(4, -2, BlobParams(4, 0, 2))
+    res = splitting_check(4, -2, C4)
     assert res.wall
-    res = splitting_check(4, 2, BlobParams(4, 0, 2))
+    res = splitting_check(4, 2, C4)
     assert not res.wall and res.split is True
+    res = splitting_check(5, 1, C4)
+    assert res.split is True and res.eig_dims == res.eig_dims_expected
 
 
 @pytest.mark.parametrize("l,m", [(3, 2), (5, 2), (5, 3)])
 def test_splitting_sweep(l, m):
+    ctx = context(BlobParams(3, l, m))
     for n in (3, 4, 5):
-        params = BlobParams(n, l, m)
         for lam in lambda_range(n)[1:-1]:
-            res = splitting_check(n, lam, params)
+            res = splitting_check(n, lam, ctx)
             assert res.wall == residues_equal(lam, -m, l), (n, lam)
             if not res.wall:
                 lab = WeightLabel(n, lam)
@@ -131,12 +118,12 @@ def test_splitting_sweep(l, m):
 def test_wall_certificate_fires_everywhere(l, m):
     # every wall point of n = 3..7 has z_{n-1} != s, so no splitting
     walls = 0
+    ctx = context(BlobParams(3, l, m))
     for n in range(3, 8):
-        params = BlobParams(n, l, m)
         for lam in lambda_range(n)[1:-1]:
             if not residues_equal(lam, -m, l):
                 continue
-            res = splitting_check(n, lam, params)
+            res = splitting_check(n, lam, ctx)
             assert res.wall and res.split == "undetermined", (n, lam)
             assert res.complement == "none", (n, lam)
             assert res.eig_dims is None and res.invariant is None
@@ -161,8 +148,7 @@ def test_wall_certificate_negative_controls():
 def test_wall_with_scalar_z_is_not_certified(monkeypatch):
     # force z_{n-1} = s*Id at a wall point: the certificate must stay silent,
     # which also pins the scalar splitting_check compares against
-    params = BlobParams(4, 3, 2)
-    ctx = context(params)
+    ctx = context(BlobParams(4, 3, 2))
     s = z_scalar_formula(WeightLabel(3, -3), ctx)
 
     class ScalarZ:
@@ -170,14 +156,14 @@ def test_wall_with_scalar_z_is_not_certified(monkeypatch):
             return [{j: s} for j in range(len(basis))]
 
     monkeypatch.setattr(towers, "central_z", lambda k, n, ctx: ScalarZ())
-    res = splitting_check(4, -2, params)
+    res = splitting_check(4, -2, ctx)
     assert res.wall and res.complement == "not_attempted"
 
 
 def _perturbed_modules(monkeypatch, gen, i, j):
     """Make towers see weight modules whose generator `gen` has one extra
     unit at (i, j); the cached modules stay untouched."""
-    real = towers._weight_module
+    real = towers.weight_module
 
     def fake(n, lam, ctx):
         module = copy.copy(real(n, lam, ctx))
@@ -187,26 +173,26 @@ def _perturbed_modules(monkeypatch, gen, i, j):
         module.U[gen] = mat
         return module
 
-    monkeypatch.setattr(towers, "_weight_module", fake)
+    monkeypatch.setattr(towers, "weight_module", fake)
 
 
 @pytest.mark.parametrize("offset", [1, 2, 3, 4])
 def test_non_triangular_x_fails(monkeypatch, offset):
     # M_6(0): dim 20, the first 10 columns are the 2-block; one entry
     # below the diagonal of a 1-block column must be caught at any depth
-    params = BlobParams(6, 5, 2)
-    assert all(c.ok for c in verify_x_triangular(6, 0, params))
+    ctx = context(BlobParams(6, 5, 2))
+    assert all(c.ok for c in verify_x_triangular(6, 0, ctx))
     j = comb(5, 3)
     _perturbed_modules(monkeypatch, 0, j + offset, j)
-    (check,) = verify_x_triangular(6, 0, params)
+    (check,) = verify_x_triangular(6, 0, ctx)
     assert not check.ok
     assert check.first_failure == f"below-diagonal entry at ({j + offset},{j})"
 
 
 def test_non_invariant_eigenspace_fails(monkeypatch):
-    params = BlobParams(4, 5, 2)
+    ctx = context(BlobParams(4, 5, 2))
     _perturbed_modules(monkeypatch, 1, 5, 0)
-    res = splitting_check(4, 0, params)
+    res = splitting_check(4, 0, ctx)
     assert not res.wall
     assert res.eig_dims == res.eig_dims_expected == (3, 3)
     assert res.invariant is False
@@ -222,9 +208,8 @@ def test_z_restricted_minimal_polynomial():
 
     for n, lam, l, m in ((4, 0, 5, 2), (4, -2, 3, 2), (5, 1, 0, 2),
                          (5, -1, 5, 3)):
-        params = BlobParams(n, l, m)
-        ctx = context(params)
-        module = weight_module(params, lam)
+        ctx = context(BlobParams(n, l, m))
+        module = weight_module(n, lam, ctx)
         zmat = central_z(n - 1, n, ctx).matrix(module.basis)
         s_minus = z_scalar_formula(WeightLabel(n - 1, lam - 1), ctx)
         s_plus = z_scalar_formula(WeightLabel(n - 1, lam + 1), ctx)
@@ -252,16 +237,15 @@ def test_triangle_recursion_and_counts():
 
 def test_x_triangular():
     for n in range(2, 7):
-        params = BlobParams(n, 0, 2)
         for lam in lambda_range(n):
-            assert all(c.ok for c in verify_x_triangular(n, lam, params))
-    assert all(c.ok for c in verify_x_triangular(4, 0, BlobParams(4, 5, 2)))
+            assert all(c.ok for c in verify_x_triangular(n, lam, C4))
+    assert all(c.ok for c in verify_x_triangular(
+        4, 0, context(BlobParams(4, 5, 2))))
 
 
 def test_smallcase_golden_matrices():
-    params = BlobParams(2, 0, 2)
-    ctx = context(params)
-    checks, computed, golden = verify_smallcase_matrices(params)
+    ctx = C4
+    checks, computed, golden = verify_smallcase_matrices(ctx)
     assert all(c.ok for c in checks), [c.name for c in checks if not c.ok]
     # printed forms, entry by entry (basis order 12, 21)
     q, qinv = ctx.q, ctx.qinv
@@ -281,5 +265,5 @@ def test_smallcase_golden_matrices():
 @pytest.mark.parametrize("l,m", [(5, 2), (5, 3), (5, 4), (7, 2), (7, 6),
                                  (0, 5), (0, -2), (9, 2)])
 def test_smallcase_all_valid_params(l, m):
-    checks, _, _ = verify_smallcase_matrices(BlobParams(2, l, m))
+    checks, _, _ = verify_smallcase_matrices(context(BlobParams(2, l, m)))
     assert all(c.ok for c in checks), (l, m)

@@ -7,15 +7,15 @@ import pytest
 from blobtensor.linalg import (SpanSolver, mat_eq, mat_is_zero, mat_mul,
                                span_rank)
 from blobtensor.scalars import BlobParams, context, residues_equal
-from blobtensor.tensor import op_T
-from blobtensor.weightmod import (WeightLabel, adjointness_injective,
-                                  adjointness_record, adjointness_surjective,
-                                  lambda_range, localize,
-                                  quotient_Q_scalars, quotient_scalar_record,
+from blobtensor.tensor import op_T_ctx
+from blobtensor.weightmod import (WeightLabel, _adjointness_injective,
+                                  _adjointness_surjective, _e_matrix,
+                                  adjointness_record, lambda_range, localize,
+                                  quotient_scalar_record,
                                   special_element_scalar, straighten_word,
                                   underline_map, verify_module_blob_relations,
                                   verify_trivial_relations, weight_basis,
-                                  weight_module, _e_matrix)
+                                  weight_module)
 
 P3 = BlobParams(3, 0, 2)
 C3 = context(P3)
@@ -48,29 +48,29 @@ def test_weight_basis_dimensions():
 
 
 def test_module_matrices_match_generators():
-    module = weight_module(P3, 1)
-    from blobtensor.blob import BlobAction, blob_generator
+    module = weight_module(3, 1, C3)
+    from blobtensor.blob import BlobAction
 
-    action = BlobAction.from_params(P3)
+    action = BlobAction(3, C3)
     for i in range(3):
-        gen = blob_generator(i, action)
+        gen = action.generator(i)
         for j, w in enumerate(module.basis):
             assert module.words(module.U[i][j]) == gen(w)
 
 
 def test_idempotent():
-    module = weight_module(P3, 1)
+    module = weight_module(3, 1, C3)
     em = _e_matrix(module.U, C3)
     two = C3.q + C3.qinv
     col = em[module.index["112"]]
     assert module.words(col) == {"112": two.inv() * C3.qinv,
                                  "121": -two.inv()}
-    assert mat_is_zero(_e_matrix(weight_module(P3, 3).U, C3))
+    assert mat_is_zero(_e_matrix(weight_module(3, 3, C3).U, C3))
     assert mat_eq(mat_mul(em, em), em)
 
 
 def test_localize_small_cases():
-    module = weight_module(P3, 1)
+    module = weight_module(3, 1, C3)
     loc = localize(module)
     assert loc.dim_e == 1 and loc.e_fixes_basis
     target = module.coords({"112": C3.one, "121": -C3.q})
@@ -78,7 +78,7 @@ def test_localize_small_cases():
     solver.insert(target)
     assert all(solver.contains(b) for b in loc.basis_coords)
 
-    module = weight_module(P3, -1)
+    module = weight_module(3, -1, C3)
     loc = localize(module)
     tgt = module.coords({"212": C3.one, "221": -C3.q})
     solver = SpanSolver()
@@ -89,45 +89,44 @@ def test_localize_small_cases():
 
 def test_localize_extremes_vanish():
     for n in (2, 3, 4, 5):
-        params = BlobParams(n, 0, 2)
         for lam in (n, -n):
-            assert localize(weight_module(params, lam)).dim_e == 0
+            assert localize(weight_module(n, lam, C3)).dim_e == 0
     # at n = 1 there is no U_{n-1} besides the blob generator U_0
     with pytest.raises(ValueError):
-        localize(weight_module(BlobParams(1, 0, 2), -1))
+        localize(weight_module(1, -1, C3))
 
 
 def test_localized_generator_matrices_satisfy_blob_relations():
     from blobtensor.blob import blob_relation_checks_matrices
 
-    params = BlobParams(5, 0, 2)
-    loc = localize(weight_module(params, 1))
+    loc = localize(weight_module(5, 1, C3))
     assert loc.dim_e == comb(3, 1)
-    checks = blob_relation_checks_matrices(loc.gens, context(params))
+    checks = blob_relation_checks_matrices(loc.gens, C3)
     assert all(ok for _, ok in checks)
 
 
 def test_underline_map_explicit_image():
     # T3 T2 (112 - q 121) = q 121 - q^2 211
-    T2, T3 = op_T(2, P3), op_T(3, P3)
+    T2, T3 = op_T_ctx(2, 3, C3), op_T_ctx(3, 3, C3)
     v = T3(T2({"112": C3.one, "121": -C3.q}))
     assert v == {"121": C3.q, "211": -(C3.q ** 2)}
 
 
-@pytest.mark.parametrize("params", [BlobParams(0, 0, 2), BlobParams(0, 5, 2)])
+@pytest.mark.parametrize("params", [BlobParams(3, 0, 2), BlobParams(3, 5, 2)])
 def test_underline_map_grid(params):
+    ctx = context(params)
     for n in range(3, 7):
         for lam in lambda_range(n)[1:-1]:
-            res = underline_map(n, lam, BlobParams(n, params.l, params.m))
+            res = underline_map(n, lam, ctx)
             assert res.ok, (n, lam, res.to_record())
             assert res.dim_e == comb(n - 2, WeightLabel(n, lam).a - 1)
 
 
 def test_underline_map_rejects_extremes():
     with pytest.raises(ValueError):
-        underline_map(3, 3, P3)
+        underline_map(3, 3, C3)
     with pytest.raises(ValueError):
-        underline_map(2, 0, BlobParams(2, 0, 2))
+        underline_map(2, 0, C3)
 
 
 def test_straightening():
@@ -142,15 +141,14 @@ def test_straightening():
 
 @pytest.mark.parametrize("l,m", [(0, 2), (0, 3), (5, 2), (7, 3)])
 def test_quotient_scalars(l, m):
+    ctx = context(BlobParams(3, l, m))
     for n in (3, 4, 5):
-        params = BlobParams(n, l, m)
-        ctx = context(params)
         for lam in lambda_range(n)[1:-1]:
             lab = WeightLabel(n, lam)
-            sv, sw = quotient_Q_scalars(n, lam, params)
+            rec = quotient_scalar_record(n, lam, ctx)
+            sv, sw = rec.computed_v, rec.computed_w
             assert sv == ctx.lam1 * ctx.q_pow(-2 * lab.n2)
             assert sw == ctx.lam2
-            rec = quotient_scalar_record(n, lam, ctx)
             assert rec.ok
             # the two scalars agree exactly when n2 = m mod l
             assert (sv == sw) == residues_equal(lab.n2, m, l)
@@ -158,12 +156,14 @@ def test_quotient_scalars(l, m):
 
 def test_special_element_scalar():
     # generic: nonzero unless n2 = m exactly
-    assert not special_element_scalar(5, 1, BlobParams(5, 0, 3)).is_zero()
-    assert special_element_scalar(5, 1, BlobParams(5, 0, 2)).is_zero()
+    assert not special_element_scalar(5, 1,
+                                      context(BlobParams(5, 0, 3))).is_zero()
+    assert special_element_scalar(5, 1, C3).is_zero()
     # l = 5, m = 2: vanishes iff n2 = 2 mod 5
-    assert not special_element_scalar(5, 3, BlobParams(5, 5, 2)).is_zero()
-    assert special_element_scalar(5, 1, BlobParams(5, 5, 2)).is_zero()
-    s = special_element_scalar(6, 2, BlobParams(6, 5, 2))
+    c5 = context(BlobParams(5, 5, 2))
+    assert not special_element_scalar(5, 3, c5).is_zero()
+    assert special_element_scalar(5, 1, c5).is_zero()
+    s = special_element_scalar(6, 2, c5)
     assert s.is_zero()  # n2 = 2
 
 
@@ -195,8 +195,9 @@ def test_adjointness_generic_diagonal():
 
 def test_adjointness_family_size():
     # canonical family has exactly dim-many members
+    ctx = context(BlobParams(4, 5, 2))
     for (n, lam) in ((4, 0), (5, 1), (5, -1)):
-        res = adjointness_injective(n, lam, BlobParams(n, 5, 2))
+        res = _adjointness_injective(n, lam, ctx)
         assert res.family_size == WeightLabel(n, lam).dim
 
 
@@ -237,20 +238,21 @@ def test_adjointness_negative_m_matches_residue():
 
 def test_adjointness_rejects_bad_inputs():
     with pytest.raises(ValueError):
-        adjointness_surjective(2, 0, BlobParams(2, 0, 2))
+        _adjointness_surjective(2, 0, C3)
     with pytest.raises(ValueError):
-        adjointness_surjective(4, 4, BlobParams(4, 0, 2))
+        _adjointness_surjective(4, 4, C3)
 
 
 def test_trivial_relations():
     # every index choice, every weight, n <= 6
     for n in (4, 5, 6):
         for lam in lambda_range(n):
-            checks = verify_trivial_relations(n, lam, BlobParams(n, 0, 2))
+            checks = verify_trivial_relations(n, lam, C3)
             assert all(c.ok for c in checks), (n, lam)
 
 
 def test_module_blob_relations_and_transpose():
     for (n, lam, l, m) in ((4, 0, 0, 2), (5, 1, 5, 2), (4, 2, 7, 3)):
-        checks = verify_module_blob_relations(n, lam, BlobParams(n, l, m))
+        checks = verify_module_blob_relations(n, lam,
+                                              context(BlobParams(n, l, m)))
         assert all(c.ok for c in checks), (n, lam, l, m)
