@@ -10,7 +10,7 @@ from .tensor import (LinOp, all_words, op_S_ctx, op_T_ctx, op_T_inv_ctx,
                      op_theta_varpi_ctx, op_X_ctx, ops_Xk_ctx,
                      verify_ariki_koike, verify_blob_identity,
                      verify_partial_rotation_fixing, weight_words)
-from .blob import BlobAction, verify_blob_relations
+from .blob import verify_blob_relations, verify_relation_suite
 from .weightmod import (WeightLabel, WeightModule, adjointness_record,
                         lambda_range, localize, special_element_scalar,
                         underline_map, weight_basis, weight_module)

@@ -12,37 +12,50 @@ The scalars are expressed through the context as [2] = q + q^-1,
 [m] = lambda1 - lambda2 and [m-1] = q^-1 lambda1 - q lambda2, so the same
 checks run unchanged on swapped or otherwise generalized parameters.
 
-The abstract algebra is never materialized as a based algebra; only the
-action matters here.
+`MatrixRep` is the one matrix representation: it stores X and g_1 .. g_{n-1}
+and derives the blob generators from them once, at construction.  The
+abstract algebra is never materialized as a based algebra; only the action
+matters here.
 """
 
 from __future__ import annotations
 
+from .linalg import mat_sub_scalar_diag, mat_transpose
 from .relations import (ZERO, Relation, ariki_koike_relations, blob_identity,
                         blob_relations, commute, evaluate, product)
-from .tensor import op_T_ctx, op_X_ctx, ops_Xk_ctx, weight_blocks
+from .tensor import (ops_Xk_ctx, verify_ariki_koike, verify_blob_identity,
+                     verify_partial_rotation_fixing, weight_blocks)
 
 
-class BlobAction:
-    """The generators U_0 .. U_{n-1} as lazy operators on V^(x)n."""
+class MatrixRep:
+    """A representation by matrices (columns are images) on an ordered list
+    of labels: X, and g_i for i = 1 .. n-1 in the dict g.  The blob
+    generators U_0 = X - lam1 and U_i = g_i - q are derived here, once."""
 
-    def __init__(self, n, ctx):
-        self.n = n
+    def __init__(self, labels, x, g, ctx):
+        self.labels = labels
+        self.x = x
+        self.g = g
         self.ctx = ctx
-        self._gens = {}
+        self.U = [mat_sub_scalar_diag(x, ctx.lam1)] + [
+            mat_sub_scalar_diag(g[i], ctx.q) for i in sorted(g)]
 
-    def generator(self, i):
-        if not 0 <= i <= self.n - 1:
-            raise ValueError(f"generator index {i} out of range 0..{self.n - 1}")
-        op = self._gens.get(i)
-        if op is None:
-            if i == 0:
-                op = op_X_ctx(self.n, self.ctx).minus_scalar(self.ctx.lam1)
-            else:
-                op = op_T_ctx(i + 1, self.n, self.ctx).minus_scalar(self.ctx.q)
-            op.name = f"U{i}"
-            self._gens[i] = op
-        return op
+    @property
+    def dim(self):
+        return len(self.labels)
+
+    @property
+    def n(self):
+        return len(self.g) + 1
+
+
+def dualize(rep):
+    """Contragredient dual: same labels, every generator matrix transposed
+    (the defining antiinvolution fixes the generators)."""
+    return MatrixRep(rep.labels,
+                     mat_transpose(rep.x, rep.dim),
+                     {i: mat_transpose(m, rep.dim) for i, m in rep.g.items()},
+                     rep.ctx)
 
 
 # ---------------------------------------------------------------------------
@@ -51,12 +64,12 @@ class BlobAction:
 
 def verify_blob_relations(n, ctx):
     """Check every defining relation of the blob algebra on every basis word
-    of V^(x)n, through the matrices on each weight block; n = 1 has only
-    U0."""
-    action = BlobAction(n, ctx)
-    ops = [action.generator(i) for i in range(n)]
-    return evaluate(blob_relations([op.name for op in ops], ctx),
-                    weight_blocks(n, ops), ctx.one)
+    of V^(x)n, through the matrices of the weight modules M_n(lam); n = 1
+    has only U0."""
+    from .weightmod import module_blocks
+
+    return evaluate(blob_relations([f"U{i}" for i in range(n)], ctx),
+                    module_blocks(n, ctx), ctx.one)
 
 
 def blob_relation_checks_matrices(um, ctx):
@@ -82,7 +95,10 @@ def ariki_koike_checks_matrices(xm, gm, ctx):
 def verify_ideal_generators(n, ctx):
     """Both descriptions of the quotient ideal annihilate the tensor space:
     (X1 X2 - lam1 lam2)(T2 - q) = 0, which is the blob identity since
-    X2 = T2 X T2, and (X1 + X2 - lam1 - lam2)(T2 - q) = 0."""
+    X2 = T2 X T2, and (X1 + X2 - lam1 - lam2)(T2 - q) = 0; checked on the
+    weight modules M_n(lam)."""
+    from .weightmod import module_blocks
+
     bminus = (("T2",), ctx.q)
     rels = [
         blob_identity("T2", ctx)._replace(name="ideal_product_form"),
@@ -91,8 +107,7 @@ def verify_ideal_generators(n, ctx):
                  + product((("T2", "X", "T2"), ctx.lam1 + ctx.lam2), bminus),
                  ZERO),
     ]
-    return evaluate(rels, weight_blocks(
-        n, [op_X_ctx(n, ctx), op_T_ctx(2, n, ctx)]), ctx.one)
+    return evaluate(rels, module_blocks(n, ctx), ctx.one)
 
 
 def verify_xk_commute(n, ctx, kmax=None):
@@ -102,3 +117,17 @@ def verify_xk_commute(n, ctx, kmax=None):
     rels = [commute(a.name, b.name)
             for i, a in enumerate(xs) for b in xs[i + 1:]]
     return evaluate(rels, weight_blocks(n, xs), ctx.one)
+
+
+def verify_relation_suite(n, ctx):
+    """Every relation check of one verify-relations grid point, in report
+    order: the Ariki-Koike relations, the blob identity, the blob relations,
+    the ideal generators and the partial rotations."""
+    checks = verify_ariki_koike(n, ctx)
+    checks += verify_blob_identity(n, ctx)
+    checks += verify_blob_relations(n, ctx)
+    checks += verify_ideal_generators(n, ctx)
+    for j in (1, 2):
+        for p in range(1, n + 1):
+            checks += verify_partial_rotation_fixing(j, p, n, ctx)
+    return checks

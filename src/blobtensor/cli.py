@@ -15,7 +15,7 @@ import argparse
 import json
 import sys
 
-from . import blob, specht, tensor, towers, weightmod
+from . import blob, specht, towers, weightmod
 from .scalars import (BlobParams, ParameterError, check_params, check_size,
                       context, _PARAM_MESSAGES)
 
@@ -118,13 +118,7 @@ def cmd_verify_relations(args):
     ok = True
     for params, ctx in _param_grid(args, skipped, min_n=2):
         n = params.n
-        checks = tensor.verify_ariki_koike(n, ctx)
-        checks += tensor.verify_blob_identity(n, ctx)
-        checks += blob.verify_blob_relations(n, ctx)
-        checks += blob.verify_ideal_generators(n, ctx)
-        for j in (1, 2):
-            for p in range(1, n + 1):
-                checks += tensor.verify_partial_rotation_fixing(j, p, n, ctx)
+        checks = blob.verify_relation_suite(n, ctx)
         point_ok = all(c.ok for c in checks)
         ok = ok and point_ok
         results.append({"n": n, "l": params.l, "m": params.m,
@@ -272,26 +266,19 @@ def cmd_duality(args):
 def cmd_smallcase(args):
     results, skipped = [], []
     ok = True
-    for l in sorted(args.l):
-        for m in sorted(args.m):
-            params = BlobParams(2, l, m)
-            code = check_params(params)
-            if code is not None:
-                _skip(skipped, {"l": l, "m": m}, code)
-                continue
-            ctx = context(params)
-            checks, computed, golden = towers.verify_smallcase_matrices(ctx)
-            field = ctx.field
-            point_ok = all(c.ok for c in checks)
-            ok = ok and point_ok
-            results.append({
-                "l": l, "m": m,
-                "checks": _checks_to_records(checks),
-                "computed": {k: _matrix_json(v, ["12", "21"], field)
-                             for k, v in sorted(computed.items())},
-                "golden": {k: _matrix_json(v, ["12", "21"], field)
-                           for k, v in sorted(golden.items())},
-                "all_ok": point_ok})
+    for params, ctx in _param_grid(args, skipped):
+        checks, computed, golden = towers.verify_smallcase_matrices(ctx)
+        field = ctx.field
+        point_ok = all(c.ok for c in checks)
+        ok = ok and point_ok
+        results.append({
+            "l": params.l, "m": params.m,
+            "checks": _checks_to_records(checks),
+            "computed": {k: _matrix_json(v, ["12", "21"], field)
+                         for k, v in sorted(computed.items())},
+            "golden": {k: _matrix_json(v, ["12", "21"], field)
+                       for k, v in sorted(golden.items())},
+            "all_ok": point_ok})
     return {"command": "smallcase", "results": results,
             "skipped": skipped, "ok": ok}, ok
 
@@ -353,6 +340,8 @@ def build_parser():
         sub = subs.add_parser(name)
         _add_common(sub, lam=lam, needs_n=name != "smallcase")
         sub.set_defaults(fn=fn)
+    # the goldens live on M_2(0): smallcase runs its grid at n = 2 only
+    subs.choices["smallcase"].set_defaults(n=[2])
     tri = subs.add_parser("triangle")
     tri.add_argument("--n", type=_parse_range, default=[4])
     tri.add_argument("--out", default=None)

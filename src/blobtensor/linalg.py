@@ -67,18 +67,20 @@ def vec_eq(a, b):
 class SpanSolver:
     """Row-echelon span of a growing family of sparse vectors.
 
-    With track=True every stored row remembers its expression in terms of the
-    inserted generators, so `express` can write a vector as an explicit linear
-    combination of the generators that were accepted or rejected so far, and
-    an insert that does not raise the rank leaves the linear relation it
-    found in `relation`: {tag: scalar} with the rejected vector's own tag at
-    coefficient one (absent when that vector was zero), summing to zero.
+    Given the field's one (which every tracked insert needs, so it is passed
+    in rather than obtained by an inversion), every stored row remembers its
+    expression in terms of the inserted generators, so `express` can write a
+    vector as an explicit linear combination of the generators that were
+    accepted or rejected so far, and an insert that does not raise the rank
+    leaves the linear relation it found in `relation`: {tag: scalar} with the
+    rejected vector's own tag at coefficient one (absent when that vector was
+    zero), summing to zero.
     """
 
-    def __init__(self, track=False):
+    def __init__(self, one=None):
         self.rows = {}  # pivot index -> reduced row (pivot coefficient 1)
-        self.combos = {} if track else None  # pivot index -> {tag: scalar}
-        self.track = track
+        self.one = one  # the field's one when tracking, else None
+        self.combos = None if one is None else {}  # pivot -> {tag: scalar}
         self.rank = 0
         self.relation = None
 
@@ -107,12 +109,8 @@ class SpanSolver:
     def insert(self, vec, tag=None):
         """Add a vector to the span.  Returns True if the rank grew."""
         combo = None
-        if self.track:
-            one = None
-            for x in vec.values():
-                one = x / x
-                break
-            combo = {} if one is None else {tag: one}
+        if self.one is not None:
+            combo = {tag: self.one} if vec else {}
         piv, red, combo = self._reduce(vec, combo)
         if piv is None:
             self.relation = combo
@@ -121,7 +119,7 @@ class SpanSolver:
         cinv = c.inv()
         row = {j: cinv * x for j, x in red.items()}
         self.rows[piv] = row
-        if self.track:
+        if combo is not None:
             self.combos[piv] = vec_scale(combo, cinv)
         self.rank += 1
         return True
@@ -132,8 +130,8 @@ class SpanSolver:
 
     def express(self, vec):
         """Write vec as {tag: coeff} over the inserted generators, or None."""
-        if not self.track:
-            raise ValueError("SpanSolver built without track=True")
+        if self.one is None:
+            raise ValueError("SpanSolver built without the field's one")
         piv, _, combo = self._reduce(dict(vec), {})
         if piv is not None:
             return None
@@ -172,12 +170,16 @@ def mat_scale(a, c):
 
 
 def mat_sub_scalar_diag(a, c):
-    """a - c * I."""
+    """a - c * I.  Generator matrices repeat a few diagonal values, so each
+    distinct value is shifted once."""
+    shifted = {}
     out = []
     for j, col in enumerate(a):
         col = dict(col)
         cur = col.get(j)
-        s = (cur - c) if cur is not None else -c
+        s = shifted.get(cur)
+        if s is None:
+            s = shifted[cur] = (cur - c) if cur is not None else -c
         if s.is_zero():
             col.pop(j, None)
         else:
@@ -211,7 +213,7 @@ def nullspace(cols, one):
     any index set.  Column j that is a combination sum_t c_t col_t of the
     earlier independent columns gives the kernel vector e_j - sum_t c_t e_t,
     read off the relation that rejected it.  Returns sparse vectors."""
-    span = SpanSolver(track=True)
+    span = SpanSolver(one)
     basis = []
     for j, col in enumerate(cols):
         if not span.insert(col, tag=j):

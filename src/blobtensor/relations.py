@@ -9,10 +9,12 @@ identity.
 `evaluate` checks lhs = rhs as matrices on each block of a representation.
 A block is (basis, matrices) with `matrices` mapping every generator symbol
 to its column matrix on `basis`.  For V^(x)n the blocks are the weight
-subspaces: they cover every basis word because every operator keeps the
-weight.  A failing relation names its witness: the smallest basis label,
-over all blocks, whose columns differ -- for V^(x)n the first word of
-`all_words(n)` on which the two sides differ.
+subspaces (or the weight modules M_n(lam), whose bases list the same words
+in another order): they cover every basis word because every operator keeps
+the weight.  A failing relation names its witness: the smallest basis label,
+over all blocks and whatever the order within a block, whose columns
+differ -- for V^(x)n the first word of `all_words(n)` on which the two sides
+differ.
 """
 
 from __future__ import annotations
@@ -126,8 +128,8 @@ def evaluate(relations, blocks, one):
         for k, rel in enumerate(relations):
             lhs = _side(rel.lhs, mats, products, dim, one)
             rhs = _side(rel.rhs, mats, products, dim, one)
-            bad = next((basis[j] for j in range(dim)
-                        if not vec_eq(lhs[j], rhs[j])), None)
+            bad = min((basis[j] for j in range(dim)
+                       if not vec_eq(lhs[j], rhs[j])), default=None)
             if bad is not None and (witness[k] is None or bad < witness[k]):
                 witness[k] = bad
     return [RelationCheck(rel.name, bad is None, bad)

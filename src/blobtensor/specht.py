@@ -25,10 +25,10 @@ import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .blob import ariki_koike_checks_matrices, blob_relation_checks_matrices
+from .blob import (MatrixRep, ariki_koike_checks_matrices,
+                   blob_relation_checks_matrices, dualize)
 from .linalg import (invariant_closure, mat_eq, mat_mul, mat_sub_scalar_diag,
-                     mat_transpose, mat_vec, span_rank, vec_add_scaled,
-                     vec_eq)
+                     mat_vec, span_rank, vec_add_scaled, vec_eq)
 from .scalars import context, residues_equal
 from .tensor import RelationCheck, ops_Xk_ctx
 from .weightmod import (WeightLabel, _adjointness_injective,
@@ -154,42 +154,6 @@ def special_col_bitableau(n1, n2):
 # matrix representations
 # ---------------------------------------------------------------------------
 
-@dataclass
-class MatrixRep:
-    """A concrete representation: labels, the matrix of X and the matrices of
-    g_1 .. g_{n-1} (columns as images)."""
-
-    labels: tuple
-    x: list
-    g: dict
-    ctx: object
-
-    @property
-    def dim(self):
-        return len(self.labels)
-
-    @property
-    def n(self):
-        return len(self.g) + 1
-
-    def U(self, i):
-        """Blob generator: U_0 = X - lam1, U_i = g_i - q."""
-        if i == 0:
-            return mat_sub_scalar_diag(self.x, self.ctx.lam1)
-        return mat_sub_scalar_diag(self.g[i], self.ctx.q)
-
-    def U_all(self):
-        return [self.U(i) for i in range(self.n)]
-
-
-def dualize(rep):
-    """Contragredient dual: same labels, every generator matrix transposed."""
-    return MatrixRep(rep.labels,
-                     mat_transpose(rep.x, rep.dim),
-                     {i: mat_transpose(m, rep.dim) for i, m in rep.g.items()},
-                     rep.ctx)
-
-
 @lru_cache(maxsize=64)
 def build_S_prime(n1, n2, ctx):
     """The two-column module on standard bitableaux, with the bitableaux
@@ -213,8 +177,7 @@ def build_S_prime(n1, n2, ctx):
                 col[index[u]] = c
             cols.append(col)
         g[i] = cols
-    x = mat_sub_scalar_diag(module.U[0], -ctx.lam1)
-    return MatrixRep(ordered, x, g, ctx)
+    return MatrixRep(ordered, module.x, g, ctx)
 
 
 # ---------------------------------------------------------------------------
@@ -227,11 +190,9 @@ def verify_phi_intertwines(n1, n2, ctx):
     n = n1 + n2
     rep = build_S_prime(n1, n2, ctx)
     module = weight_module(n, n1 - n2, ctx)
-    checks = []
-    for i in range(1, n):
-        gm = mat_sub_scalar_diag(module.U[i], -ctx.q)
-        checks.append(RelationCheck(f"phi_intertwines(g{i})",
-                                    mat_eq(rep.g[i], gm)))
+    checks = [RelationCheck(f"phi_intertwines(g{i})",
+                            mat_eq(rep.g[i], module.g[i]))
+              for i in range(1, n)]
     count = len(standard_bitableaux(col_shape(n1, n2)))
     checks.append(RelationCheck("phi_bijective", count == module.dim))
     return checks
@@ -245,7 +206,7 @@ def verify_S_prime_relations(n1, n2, ctx):
               for name, ok in ariki_koike_checks_matrices(rep.x, rep.g, ctx)]
     checks += [RelationCheck(f"S'_blob:{name}", ok)
                for name, ok in
-               blob_relation_checks_matrices(rep.U_all(), ctx)]
+               blob_relation_checks_matrices(rep.U, ctx)]
     return checks
 
 
@@ -313,16 +274,15 @@ def verify_dualize_properties(n1, n2, ctx):
     preserves the X spectrum (multiplicities of lam1 and lam2)."""
     rep = build_S_prime(n1, n2, ctx)
     dual = dualize(rep)
+    back = dualize(dual)
     checks = [RelationCheck("dualize_involution",
-                            mat_eq(dualize(dual).x, rep.x) and all(
-                                mat_eq(dualize(dual).g[i], rep.g[i])
-                                for i in rep.g))]
+                            mat_eq(back.x, rep.x) and all(
+                                mat_eq(back.g[i], rep.g[i]) for i in rep.g))]
     checks += [RelationCheck(f"dual:{name}", ok)
                for name, ok in ariki_koike_checks_matrices(dual.x, dual.g,
                                                            ctx)]
     checks += [RelationCheck(f"dual_blob:{name}", ok)
-               for name, ok in blob_relation_checks_matrices(dual.U_all(),
-                                                             ctx)]
+               for name, ok in blob_relation_checks_matrices(dual.U, ctx)]
     for lam_val, tag in ((ctx.lam1, "lam1"), (ctx.lam2, "lam2")):
         r1 = span_rank(mat_sub_scalar_diag(rep.x, lam_val))
         r2 = span_rank(mat_sub_scalar_diag(dual.x, lam_val))
@@ -348,7 +308,7 @@ def dual_adjointness_check(n, lam, params):
     ctx = context(params)
     label = WeightLabel(n, lam)
     module = weight_module(n, lam, ctx)
-    dual_u = [mat_transpose(u, module.dim) for u in module.U]
+    dual_u = dualize(module).U
     e_dual = _e_matrix(dual_u, ctx)
     closure = invariant_closure([c for c in e_dual if c], dual_u)
     direct_surjective = closure.rank == module.dim

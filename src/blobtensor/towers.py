@@ -19,10 +19,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import comb
 
-from .blob import BlobAction
+from .blob import MatrixRep
 from .linalg import (mat_eq, mat_is_zero, mat_mul, mat_sub_scalar_diag,
-                     mat_vec, nullspace, vec_add_scaled, vec_eq)
-from .tensor import RelationCheck, ops_Xk_ctx
+                     mat_vec, nullspace, vec_eq)
+from .tensor import RelationCheck, op_T_ctx, op_X_ctx, ops_Xk_ctx
 from .weightmod import WeightLabel, lambda_range, weight_basis, weight_module
 
 
@@ -59,7 +59,8 @@ class RestrictionData:
 def restriction_sequence(n, lam, ctx):
     """Verify the exact sequence 0 -> M_{n-1}(lam-1) -> res M_n(lam) ->
     M_{n-1}(lam+1) -> 0 concretely: invariance of the words-ending-in-1
-    span and both drop-last-letter intertwinings, generator by generator."""
+    span and both drop-last-letter intertwinings, generator by generator,
+    against the generator matrices of the two small modules."""
     if n < 2:
         raise ValueError("restriction needs n >= 2")
     if abs(lam) == n:
@@ -67,40 +68,30 @@ def restriction_sequence(n, lam, ctx):
     big = weight_module(n, lam, ctx)
     small_minus = weight_module(n - 1, lam - 1, ctx)
     small_plus = weight_module(n - 1, lam + 1, ctx)
-    action_small = BlobAction(n - 1, ctx)
 
     sub_words = [w for w in big.basis if w[-1] == "1"]
     quo_words = [w for w in big.basis if w[-1] == "2"]
 
     sub_invariant = True
-    sub_intertwines = True
-    quotient_intertwines = True
+    intertwines = {"1": True, "2": True}
     for i in range(n - 1):
-        gen_small = action_small.generator(i)
-        for w in sub_words:
-            img_words = big.words(big.U[i][big.index[w]])
-            if any(u[-1] != "1" for u in img_words):
-                sub_invariant = False
-            dropped = {}
-            for u, c in img_words.items():
-                if u[-1] == "1":
-                    vec_add_scaled(dropped, {u[:-1]: ctx.one}, c)
-            if not vec_eq(dropped, gen_small(w[:-1])):
-                sub_intertwines = False
-        for w in quo_words:
-            img_words = big.words(big.U[i][big.index[w]])
-            dropped = {}
-            for u, c in img_words.items():
-                if u[-1] == "2":
-                    vec_add_scaled(dropped, {u[:-1]: ctx.one}, c)
-            if not vec_eq(dropped, gen_small(w[:-1])):
-                quotient_intertwines = False
+        for last, words, small in (("1", sub_words, small_minus),
+                                   ("2", quo_words, small_plus)):
+            for w in words:
+                img_words = big.words(big.U[i][big.index[w]])
+                if last == "1" and any(u[-1] != "1" for u in img_words):
+                    sub_invariant = False
+                dropped = {u[:-1]: c for u, c in img_words.items()
+                           if u[-1] == last}
+                expect = small.words(small.U[i][small.index[w[:-1]]])
+                if not vec_eq(dropped, expect):
+                    intertwines[last] = False
 
     dims_match = (len(sub_words) == small_minus.dim
                   and len(quo_words) == small_plus.dim
                   and big.dim == small_minus.dim + small_plus.dim)
     return RestrictionData(n, lam, sub_words, quo_words, sub_invariant,
-                           sub_intertwines, quotient_intertwines, dims_match)
+                           intertwines["1"], intertwines["2"], dims_match)
 
 
 # ---------------------------------------------------------------------------
@@ -282,7 +273,7 @@ def verify_x_triangular(n, lam, ctx):
     """In the 2-initial-first basis order the matrix of X is upper triangular
     with lambda2 on the first |B2| diagonal entries and lambda1 after."""
     module = weight_module(n, lam, ctx)
-    xmat = mat_sub_scalar_diag(module.U[0], -ctx.lam1)
+    xmat = module.x
     b2 = sum(1 for w in module.basis if w[0] == "2")
     bad = None
     for j, col in enumerate(xmat):
@@ -320,29 +311,21 @@ def verify_smallcase_matrices(ctx):
     """Recompute the matrices of U1, X, U0 on M_2(0) (basis order 12, 21)
     from the operators, compare them entry-exactly with the golden forms,
     and check the nonzero coefficient of U0 applied to q^-1*12 - 21."""
-    action = BlobAction(2, ctx)
     basis = ["12", "21"]
-    from .tensor import op_X_ctx
-
-    computed = {
-        "U1": action.generator(1).matrix(basis),
-        "X": op_X_ctx(2, ctx).matrix(basis),
-        "U0": action.generator(0).matrix(basis),
-    }
+    rep = MatrixRep(basis, op_X_ctx(2, ctx).matrix(basis),
+                    {1: op_T_ctx(2, 2, ctx).matrix(basis)}, ctx)
+    computed = {"U1": rep.U[1], "X": rep.x, "U0": rep.U[0]}
     golden = smallcase_golden(ctx)
     checks = [RelationCheck(f"smallcase_matrix({name})",
                             vec_eq(computed[name][0], golden[name][0])
                             and vec_eq(computed[name][1], golden[name][1]))
               for name in ("U1", "X", "U0")]
     # U0 (q^-1 12 - 21) = q^-1(-lam1(q - q^-1) + q [m]) 21, nonzero
-    u0 = action.generator(0)
-    vec = {}
-    vec_add_scaled(vec, u0("12"), ctx.qinv)
-    vec_add_scaled(vec, u0("21"), -ctx.one)
+    vec = mat_vec(rep.U[0], {0: ctx.qinv, 1: -ctx.one})
     m = ctx.lam1 - ctx.lam2
     coeff = ctx.qinv * (-(ctx.lam1 * ctx.q_minus_qinv) + ctx.q * m)
     checks.append(RelationCheck("smallcase_u0_underline",
-                                vec == {"21": coeff}))
+                                vec == {1: coeff}))
     checks.append(RelationCheck("smallcase_coefficient_nonzero",
                                 not coeff.is_zero()))
     return checks, computed, golden

@@ -27,12 +27,13 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
 
-from .blob import BlobAction, blob_relation_checks_matrices
+from .blob import MatrixRep, blob_relation_checks_matrices, dualize
 from .linalg import (SpanSolver, invariant_closure, mat_eq, mat_mul,
                      mat_scale, mat_vec, span_rank, vec_add_scaled, vec_eq,
                      vec_scale, vec_sub)
 from .scalars import context, residues_equal
-from .tensor import RelationCheck, all_words, weight_words
+from .tensor import (RelationCheck, all_words, op_T_ctx, op_X_ctx,
+                     weight_words)
 
 
 # ---------------------------------------------------------------------------
@@ -82,23 +83,24 @@ def weight_basis(n, lam):
             + [w for w in words if w[0] == "1"])
 
 
-class WeightModule:
-    """M_n(lam) with its generator matrices U_0 .. U_{n-1}
-    (columns are images, in the weight_basis order)."""
+class WeightModule(MatrixRep):
+    """M_n(lam) as a matrix representation on its weight basis: X, g_i the
+    matrix of T_{i+1}, and the derived U_0 .. U_{n-1} (columns are images,
+    in the weight_basis order)."""
 
     def __init__(self, n, lam, ctx):
-        self.n = n
         self.lam = lam
         self.label = WeightLabel(n, lam)
-        self.ctx = ctx
-        self.basis = weight_basis(n, lam)
-        self.index = {w: i for i, w in enumerate(self.basis)}
-        action = BlobAction(n, ctx)
-        self.U = [action.generator(i).matrix(self.basis) for i in range(n)]
+        basis = weight_basis(n, lam)
+        self.index = {w: i for i, w in enumerate(basis)}
+        super().__init__(
+            basis, op_X_ctx(n, ctx).matrix(basis),
+            {i: op_T_ctx(i + 1, n, ctx).matrix(basis) for i in range(1, n)},
+            ctx)
 
     @property
-    def dim(self):
-        return len(self.basis)
+    def basis(self):
+        return self.labels
 
     def coords(self, vect):
         """Word-keyed vector -> index-keyed coordinates."""
@@ -114,9 +116,22 @@ class WeightModule:
         return {self.basis[i]: c for i, c in coords.items()}
 
 
-@lru_cache(maxsize=128)
+# A grid point reuses the modules of its own n and of n - 1; a larger cache
+# only keeps x, g and U of finished points alive.
+@lru_cache(maxsize=32)
 def weight_module(n, lam, ctx):
     return WeightModule(n, lam, ctx)
+
+
+def module_blocks(n, ctx):
+    """(basis, matrices) blocks of V^(x)n for `relations.evaluate`: one per
+    cached M_n(lam), lam in Lambda_n, whose bases partition the words.  The
+    matrices are named X, T2 .. Tn and U0 .. U{n-1}."""
+    for lam in lambda_range(n):
+        module = weight_module(n, lam, ctx)
+        mats = {f"T{i + 1}": g for i, g in module.g.items()}
+        mats.update({f"U{i}": u for i, u in enumerate(module.U)}, X=module.x)
+        yield module.basis, mats
 
 
 # ---------------------------------------------------------------------------
@@ -154,7 +169,7 @@ def localize(module):
     if n < 2:
         raise ValueError("the idempotent e = -U_{n-1}/[2] needs n >= 2")
     emat = _e_matrix(module.U, module.ctx)
-    solver = SpanSolver(track=True)
+    solver = SpanSolver(module.ctx.one)
     chosen = []
     for j, col in enumerate(emat):
         if solver.insert(dict(col), tag=len(chosen)):
@@ -272,8 +287,6 @@ def quotient_scalar_record(n, lam, ctx):
     """The scalar of X on the one-dimensional straightening quotient,
     computed from both canonical generators, beside the closed forms
     lam1 q^(-2 n2) and lam2."""
-    from .tensor import op_X_ctx
-
     label = WeightLabel(n, lam)
     if abs(lam) == n:
         raise ValueError("lambda = +-n has no underline positions")
@@ -303,8 +316,6 @@ def special_element_scalar(n, lam, ctx):
 
 def _image_family(n, label, ctx):
     """The spanning family I1 u I2 of the counit image, as word vectors."""
-    from .tensor import op_X_ctx
-
     n1 = label.n1
     interior = weight_words(n - 2, n1 - 1)
     X = op_X_ctx(n, ctx)
@@ -384,13 +395,23 @@ def _canonical_family(n, label, ctx):
             if 0 <= ones <= rest:
                 for w2 in weight_words(rest, ones):
                     tl.append(underline_vect(w1, w2, ctx))
-    interior = "2" * (n2 - 1) + "1" * (n1 - 1)
-    dec = {}
-    vec_add_scaled(dec, {"1" + interior + "2": ctx.one},
-                   (-ctx.lam2) * ctx.q_pow(n2 - 1))
-    vec_add_scaled(dec, {"2" + interior + "1": ctx.one},
-                   ctx.lam1 * ctx.q_pow(n1 - 2))
-    return tl, dec
+    return tl, decorated_vect("2" * (n2 - 1) + "1" * (n1 - 1), label, ctx)
+
+
+def _decorated_combination(v1, v2, label, ctx):
+    """-lam2 q^(n2-1) v1 + lam1 q^(n1-2) v2, the coefficients of the
+    decorated element."""
+    out = {}
+    vec_add_scaled(out, v1, (-ctx.lam2) * ctx.q_pow(label.n2 - 1))
+    vec_add_scaled(out, v2, ctx.lam1 * ctx.q_pow(label.n1 - 2))
+    return out
+
+
+def decorated_vect(x, label, ctx):
+    """The decorated element of M_n(lam) with interior word x:
+    -lam2 q^(n2-1) 1x2 + lam1 q^(n1-2) 2x1."""
+    return _decorated_combination({"1" + x + "2": ctx.one},
+                                  {"2" + x + "1": ctx.one}, label, ctx)
 
 
 @dataclass
@@ -505,14 +526,6 @@ def verify_trivial_relations(n, lam, ctx):
                                 bad1 = w1 + "|" + w2 + "|" + w3
     checks.append(RelationCheck("shift_relation_tl", bad1 is None, bad1))
 
-    def dec(x):
-        out = {}
-        vec_add_scaled(out, {"1" + x + "2": ctx.one},
-                       (-ctx.lam2) * ctx.q_pow(n2 - 1))
-        vec_add_scaled(out, {"2" + x + "1": ctx.one},
-                       ctx.lam1 * ctx.q_pow(n1 - 2))
-        return out
-
     bad2 = None
     if n1 >= 2 and n2 >= 2:
         for l1 in range(n - 3):
@@ -521,15 +534,13 @@ def verify_trivial_relations(n, lam, ctx):
                 for w2 in all_words(l2):
                     if (w1 + w2).count("1") != n1 - 2:
                         continue
-                    lhs = vec_sub(vec_scale(dec(w1 + "12" + w2), ctx.qinv),
-                                  dec(w1 + "21" + w2))
-                    rhs = {}
-                    vec_add_scaled(rhs, underline_vect("1" + w1, w2 + "2",
-                                                       ctx),
-                                   (-ctx.lam2) * ctx.q_pow(n2 - 1))
-                    vec_add_scaled(rhs, underline_vect("2" + w1, w2 + "1",
-                                                       ctx),
-                                   ctx.lam1 * ctx.q_pow(n1 - 2))
+                    lhs = vec_sub(
+                        vec_scale(decorated_vect(w1 + "12" + w2, label, ctx),
+                                  ctx.qinv),
+                        decorated_vect(w1 + "21" + w2, label, ctx))
+                    rhs = _decorated_combination(
+                        underline_vect("1" + w1, w2 + "2", ctx),
+                        underline_vect("2" + w1, w2 + "1", ctx), label, ctx)
                     if not vec_eq(lhs, rhs):
                         bad2 = w1 + "|" + w2
     checks.append(RelationCheck("shift_relation_decorated", bad2 is None,
@@ -539,15 +550,13 @@ def verify_trivial_relations(n, lam, ctx):
 
 def verify_module_blob_relations(n, lam, ctx):
     """Re-run the blob relations on the generator matrices of M_n(lam), and
-    again on their transposes (the defining relations are *-symmetric)."""
+    again on those of its dual, the transposes (the defining relations are
+    *-symmetric)."""
     module = weight_module(n, lam, ctx)
     checks = [RelationCheck(f"module:{name}", ok)
               for name, ok in blob_relation_checks_matrices(module.U,
                                                             module.ctx)]
-    from .linalg import mat_transpose
-
-    transposed = [mat_transpose(u, module.dim) for u in module.U]
     checks += [RelationCheck(f"transposed:{name}", ok)
                for name, ok in
-               blob_relation_checks_matrices(transposed, module.ctx)]
+               blob_relation_checks_matrices(dualize(module).U, module.ctx)]
     return checks

@@ -13,7 +13,7 @@ from math import comb
 
 import pytest
 
-from blobtensor import blob, specht, tensor, towers, weightmod
+from blobtensor import blob, specht, towers, weightmod
 from blobtensor.scalars import BlobParams, context, residues_equal
 from blobtensor.weightmod import WeightLabel, lambda_range
 
@@ -31,14 +31,7 @@ def test_criterion_01_relation_suite():
     for l, m in RELATION_PARAMS:
         for n in range(2, 7):
             ctx = context(BlobParams(n, l, m))
-            checks = tensor.verify_ariki_koike(n, ctx)
-            checks += tensor.verify_blob_identity(n, ctx)
-            checks += blob.verify_blob_relations(n, ctx)
-            checks += blob.verify_ideal_generators(n, ctx)
-            for j in (1, 2):
-                for p in range(1, n + 1):
-                    checks += tensor.verify_partial_rotation_fixing(
-                        j, p, n, ctx)
+            checks = blob.verify_relation_suite(n, ctx)
             failures += [(n, l, m, c.name) for c in checks if not c.ok]
     _report(1, "relation suite exact on every basis word, n=2..6, "
                "generic and (l,m) in {(5,2),(5,3),(7,2),(7,3)}",

@@ -2,53 +2,54 @@
 
 import pytest
 
-from blobtensor.blob import (BlobAction, verify_blob_relations,
-                             verify_ideal_generators, verify_xk_commute)
-from blobtensor.linalg import vec_scale
+from blobtensor.blob import (verify_blob_relations, verify_ideal_generators,
+                             verify_xk_commute)
+from blobtensor.linalg import mat_vec, vec_scale
 from blobtensor.scalars import BlobParams, context
 from blobtensor.tensor import all_words
+from blobtensor.weightmod import weight_module
 
 P3 = BlobParams(3, 0, 2)
 C3 = context(P3)
 
 
+def _generator(i, n, ctx):
+    """U_i as a map on words, read off the matrices of the weight module
+    that holds the word."""
+    def apply(w):
+        module = weight_module(n, 2 * w.count("1") - n, ctx)
+        return module.words(module.U[i][module.index[w]])
+    return apply
+
+
 def test_generator_examples():
-    action = BlobAction(3, C3)
-    u2 = action.generator(2)
+    u2 = _generator(2, 3, C3)
     assert u2("112") == {"121": C3.one, "112": -C3.qinv}
-    u0 = action.generator(0)
+    u0 = _generator(0, 3, C3)
     m = C3.lam1 - C3.lam2
     for w in all_words(3):
         if w[0] == "2":
             assert u0(w) == {w: -m}
-    u1 = action.generator(1)
+    u1 = _generator(1, 3, C3)
     assert u1("112") == {}
     assert u1("111") == {}
 
 
-def test_generator_index_errors():
-    action = BlobAction(3, C3)
-    with pytest.raises(ValueError):
-        action.generator(3)
-    with pytest.raises(ValueError):
-        action.generator(-1)
-
-
 def test_apply_word():
-    # products of generators applied word by word through LinOp composition
-    action = BlobAction(3, C3)
-    u0, u1, u2 = (action.generator(i) for i in range(3))
+    # products of generators applied column by column on M_3(1)
+    module = weight_module(3, 1, C3)
+    u0, u1, u2 = module.U
     m1 = C3.qinv * C3.lam1 - C3.q * C3.lam2
-    assert (u1 @ u0 @ u1).apply_word("112") == vec_scale(u1("112"), m1)
-    for w in all_words(3):
-        assert (u2 @ u1 @ u2).apply_word(w) == u2(w)
+    col = u1[module.index["112"]]
+    assert mat_vec(u1, mat_vec(u0, col)) == vec_scale(col, m1)
+    for j in range(module.dim):
+        assert mat_vec(u2, mat_vec(u1, u2[j])) == u2[j]
 
 
 def test_u0_kills_all_ones():
     # U0(1^n) = 0 since X(1^n) = lam1 1^n
     for n in (2, 3, 4, 5):
-        action = BlobAction(n, context(BlobParams(n, 0, 3)))
-        assert action.generator(0)("1" * n) == {}
+        assert _generator(0, n, context(BlobParams(n, 0, 3)))("1" * n) == {}
 
 
 @pytest.mark.parametrize("params", [
@@ -64,14 +65,14 @@ def test_blob_relations(params):
 
 
 def test_u1u0u1_is_zero_operator_difference_n2():
-    # U1 U0 U1 - [m-1] U1 vanishes on all of V^(x)2
+    # U1 U0 U1 - [m-1] U1 vanishes on all of V^(x)2: every weight module
     ctx = context(BlobParams(2, 0, 5))
-    action = BlobAction(2, ctx)
-    u0, u1 = action.generator(0), action.generator(1)
     m1 = ctx.qinv * ctx.lam1 - ctx.q * ctx.lam2
-    for w in all_words(2):
-        lhs = u1(u0(u1(w)))
-        assert lhs == vec_scale(u1(w), m1)
+    for lam in (-2, 0, 2):
+        module = weight_module(2, lam, ctx)
+        u0, u1 = module.U
+        for col in u1:
+            assert mat_vec(u1, mat_vec(u0, col)) == vec_scale(col, m1)
 
 
 @pytest.mark.parametrize("params", [

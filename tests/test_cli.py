@@ -287,6 +287,22 @@ def test_backend_filter(tmp_path):
     assert report["skipped"][0]["reason"].startswith("backend_mismatch")
 
 
+def test_smallcase_backend_filter(tmp_path, capsys):
+    # smallcase shares the grid of the other commands: a mismatched
+    # backend skips the point instead of computing it
+    out = tmp_path / "small.json"
+    rc = main(["smallcase", "--l", "0,5", "--m", "2", "--backend", "generic",
+               "--out", str(out)])
+    assert rc == 0
+    report = json.loads(out.read_text())
+    assert [(r["l"], r["m"]) for r in report["results"]] == [(0, 2)]
+    assert report["skipped"] == [{
+        "l": 5, "m": 2, "reason": "backend_mismatch:cyclotomic",
+        "message": "backend_mismatch:cyclotomic"}]
+    assert "skip l=5 m=2: backend_mismatch:cyclotomic" in \
+        capsys.readouterr().err
+
+
 def test_size_cap_respected():
     rc = main(["verify-relations", "--n", "13", "--l", "0", "--m", "2"])
     assert rc == 2

@@ -80,7 +80,7 @@ def test_nullspace_and_rank_nullity(field, rows):
 @given(matrices)
 @settings(max_examples=60)
 def test_express_reconstructs(rows):
-    solver = SpanSolver(track=True)
+    solver = SpanSolver(GENERIC.one)
     sparse = [to_sparse(r, GENERIC) for r in rows]
     kept = []
     for v in sparse:
@@ -137,3 +137,24 @@ def test_invariant_closure_cyclic():
     assert span.rank == 1
     span = invariant_closure([{2: F.one}], [block])
     assert span.rank == 2
+
+
+def test_nullspace_inverts_once_per_pivot(monkeypatch):
+    # the tracked inserts know the field's one: the only inversions left
+    # are the pivot normalizations, and the kernel is unchanged
+    from blobtensor.scalars import CycScalar
+
+    F = cyclotomic_field(5)
+    q, one = F.q, F.one
+    c0 = {0: q, 1: one}
+    c2 = {1: q + one, 2: q ** 3}
+    cols = [c0, {0: q * q, 1: q}, c2, {0: q, 1: q + one + one, 2: q ** 3},
+            {2: F.from_int(2)}]
+    rank = span_rank(cols)
+    calls = []
+    real = CycScalar.inv
+    monkeypatch.setattr(CycScalar, "inv",
+                        lambda self: calls.append(self) or real(self))
+    kernel = nullspace(cols, one)
+    assert len(calls) == rank == 3
+    assert kernel == [{0: -q, 1: one}, {0: -one, 2: -one, 3: one}]

@@ -170,10 +170,10 @@ def test_dual_multiplicities_match_swapped_model():
     ctx = C4
     for n, lam in ((4, 0), (5, 1), (5, -3)):
         module = weight_module(n, lam, ctx)
-        x = mat_sub_scalar_diag(module.U[0], -ctx.lam1)
+        x = module.x
         xt = mat_transpose(x, module.dim)
         swap = weight_module(n, -lam, ctx.swapped())
-        xs = mat_sub_scalar_diag(swap.U[0], -ctx.lam2)  # lam1' = lam2
+        xs = swap.x
         for val in (ctx.lam1, ctx.lam2):
             mult = module.dim - span_rank(mat_sub_scalar_diag(x, val))
             assert module.dim - span_rank(mat_sub_scalar_diag(xt, val)) \

@@ -6,6 +6,7 @@ from math import comb
 import pytest
 
 from blobtensor import towers
+from blobtensor.blob import MatrixRep
 from blobtensor.linalg import vec_eq
 from blobtensor.scalars import BlobParams, context, residues_equal
 from blobtensor.tensor import op_S_ctx, op_T_inv_ctx
@@ -41,6 +42,21 @@ def test_restriction_sequence(l, m):
             lab = WeightLabel(n, lam)
             assert len(res.sub_basis) == comb(n - 1, lab.a - 1)
             assert len(res.quotient_basis) == comb(n - 1, lab.a)
+
+
+@pytest.mark.parametrize("small_lam", [-1, 1])
+def test_perturbed_small_module_breaks_intertwining(monkeypatch, small_lam):
+    # one extra unit in g_1 of M_3(-1) (the submodule) or of M_3(1) (the
+    # quotient) of res M_4(0) must break exactly that identification
+    ctx = context(BlobParams(4, 5, 2))
+    assert restriction_sequence(4, 0, ctx).ok
+    _perturbed_modules(monkeypatch, 1, 0, 0,
+                       where=lambda n, lam: (n, lam) == (3, small_lam))
+    res = restriction_sequence(4, 0, ctx)
+    assert res.sub_invariant and res.dims_match
+    assert res.sub_intertwines == (small_lam != -1)
+    assert res.quotient_intertwines == (small_lam != 1)
+    assert not res.ok
 
 
 def test_restriction_rejects_extremes():
@@ -160,17 +176,26 @@ def test_wall_with_scalar_z_is_not_certified(monkeypatch):
     assert res.wall and res.complement == "not_attempted"
 
 
-def _perturbed_modules(monkeypatch, gen, i, j):
-    """Make towers see weight modules whose generator `gen` has one extra
-    unit at (i, j); the cached modules stay untouched."""
+def _perturbed_modules(monkeypatch, gen, i, j, where=None):
+    """Make towers see weight modules whose generator `gen` (0 for X, else
+    g_gen) has one extra unit at (i, j), with U rebuilt from the perturbed
+    matrices; only the modules (n, lam) that `where` accepts change, and the
+    cached modules stay untouched."""
     real = towers.weight_module
 
     def fake(n, lam, ctx):
-        module = copy.copy(real(n, lam, ctx))
-        module.U = list(module.U)
-        mat = [dict(col) for col in module.U[gen]]
+        module = real(n, lam, ctx)
+        if where is not None and not where(n, lam):
+            return module
+        module = copy.copy(module)
+        stored = module.x if gen == 0 else module.g[gen]
+        mat = [dict(col) for col in stored]
         mat[j][i] = mat[j][i] + ctx.one if i in mat[j] else ctx.one
-        module.U[gen] = mat
+        if gen == 0:
+            module.x = mat
+        else:
+            module.g = {**module.g, gen: mat}
+        module.U = MatrixRep(module.labels, module.x, module.g, ctx).U
         return module
 
     monkeypatch.setattr(towers, "weight_module", fake)

@@ -4,10 +4,11 @@ from math import comb
 
 import pytest
 
+from blobtensor.blob import dualize
 from blobtensor.linalg import (SpanSolver, mat_eq, mat_is_zero, mat_mul,
-                               span_rank)
+                               mat_transpose, span_rank, vec_sub)
 from blobtensor.scalars import BlobParams, context, residues_equal
-from blobtensor.tensor import op_T_ctx
+from blobtensor.tensor import op_T_ctx, op_X_ctx
 from blobtensor.weightmod import (WeightLabel, _adjointness_injective,
                                   _adjointness_surjective, _e_matrix,
                                   adjointness_record, lambda_range, localize,
@@ -48,14 +49,25 @@ def test_weight_basis_dimensions():
 
 
 def test_module_matrices_match_generators():
+    # oracle: the lazy operators word by word, shifted by hand
     module = weight_module(3, 1, C3)
-    from blobtensor.blob import BlobAction
-
-    action = BlobAction(3, C3)
-    for i in range(3):
-        gen = action.generator(i)
+    ops = [(op_X_ctx(3, C3), C3.lam1), (op_T_ctx(2, 3, C3), C3.q),
+           (op_T_ctx(3, 3, C3), C3.q)]
+    for i, (op, shift) in enumerate(ops):
+        stored = module.x if i == 0 else module.g[i]
         for j, w in enumerate(module.basis):
-            assert module.words(module.U[i][j]) == gen(w)
+            assert module.words(stored[j]) == op(w)
+            assert module.words(module.U[i][j]) == \
+                vec_sub(op(w), {w: shift})
+
+
+def test_dual_generators_are_transposes():
+    for n, lam in ((3, 1), (4, 0), (5, -1)):
+        module = weight_module(n, lam, C3)
+        dual = dualize(module)
+        assert len(dual.U) == len(module.U) == n
+        for u, du in zip(module.U, dual.U):
+            assert mat_eq(du, mat_transpose(u, module.dim))
 
 
 def test_idempotent():
