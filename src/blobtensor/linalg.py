@@ -3,6 +3,12 @@
 Vectors are dicts {index: scalar} with no stored zeros; matrices are lists of
 column dicts (column j maps row index -> scalar).  Everything is elimination
 based and division-exact; there are no tolerances anywhere.
+
+Ranks may also be read over F_p, through a field's `ModularMap`, on vectors
+of residues: a rank mod p is only a lower bound, so `certified_span_rank`
+and `certified_closure_rank` accept it only with an exact annihilator
+certificate and otherwise return None, leaving the exact elimination to
+decide.
 """
 
 from __future__ import annotations
@@ -241,3 +247,179 @@ def invariant_closure(seed_vectors, matrices):
                     new_frontier.append(w)
         frontier = new_frontier
     return span
+
+
+# ---------------------------------------------------------------------------
+# ranks over F_p, certified exactly
+# ---------------------------------------------------------------------------
+
+class ModSpan:
+    """Span over F_p of sparse vectors of residues (ints in [0, p)), kept
+    in reduced row echelon form: a row has no entry in another row's pivot
+    column, so reducing a vector takes one pass over its entries, and near
+    full rank the rows are short.  `tags` lists the tags of the accepted
+    vectors in order."""
+
+    def __init__(self, p):
+        self.p = p
+        self.rows = {}  # pivot index -> row without its pivot entry
+        self.tags = []
+
+    @property
+    def rank(self):
+        return len(self.rows)
+
+    def insert(self, vec, tag=None):
+        """Add a vector to the span.  Returns True if the rank grew."""
+        p, rows = self.p, self.rows
+        red = {}
+        for i, x in vec.items():
+            row = rows.get(i)
+            if row is None:
+                red[i] = red.get(i, 0) + x
+            else:
+                for j, y in row.items():
+                    red[j] = red.get(j, 0) - x * y
+        red = {j: x % p for j, x in red.items() if x % p}
+        if not red:
+            return False
+        piv = min(red)
+        cinv = pow(red.pop(piv), -1, p)
+        new = {j: x * cinv % p for j, x in red.items()}
+        for row in rows.values():
+            c = row.pop(piv, None)
+            if c is not None:
+                for j, x in new.items():
+                    s = (row.get(j, 0) - c * x) % p
+                    if s:
+                        row[j] = s
+                    else:
+                        row.pop(j, None)
+        rows[piv] = new
+        self.tags.append(tag)
+        return True
+
+
+def _mat_vec_mod(cols, v, p):
+    out = {}
+    for i, c in v.items():
+        for j, x in cols[i].items():
+            out[j] = (out.get(j, 0) + c * x) % p
+    return {j: x for j, x in out.items() if x}
+
+
+def _dot(y, v):
+    """y.v, or None when no index is shared."""
+    if len(y) > len(v):
+        y, v = v, y
+    acc = None
+    for i, x in y.items():
+        z = v.get(i)
+        if z is not None:
+            acc = x * z if acc is None else acc + x * z
+    return acc
+
+
+def _annihilates(ys, vectors):
+    for y in ys:
+        for v in vectors:
+            d = _dot(y, v)
+            if d is not None and not d.is_zero():
+                return False
+    return True
+
+
+def left_kernel(vectors, dim, one):
+    """Basis of the row vectors y with y.v = 0 for every given v: the kernel
+    of the transposed family."""
+    return nullspace(mat_transpose(vectors, dim), one)
+
+
+def mod_invariant_closure(seed_vectors, matrices, p, stop=None):
+    """invariant_closure over F_p, on residue vectors and matrices, ended
+    early once its rank reaches `stop`.  The returned ModSpan tags each
+    accepted vector with its origin: (None, k) for seed k, (i, a) for
+    matrix i applied to accepted vector a."""
+    span = ModSpan(p)
+    frontier = []
+    for k, v in enumerate(seed_vectors):
+        if span.insert(v, (None, k)):
+            frontier.append((span.rank - 1, v))
+    while frontier and span.rank != stop:
+        new_frontier = []
+        for i, m in enumerate(matrices):
+            for a, v in frontier:
+                w = _mat_vec_mod(m, v, p)
+                if span.insert(w, (i, a)):
+                    if span.rank == stop:
+                        return span
+                    new_frontier.append((span.rank - 1, w))
+        frontier = new_frontier
+    return span
+
+
+def certified_span_rank(vectors, dim, modular, one):
+    """Exact rank of vectors in a dim-dimensional space, read mod p through
+    `modular`, with the left kernel Y that certifies it: (rank, Y), or None.
+
+    Full rank mod p proves full rank.  Below it, Y is the exact left kernel
+    of the vectors accepted mod p, so the family has rank at least
+    dim - |Y|; Y annihilating every vector puts the family in Y^perp, of
+    dimension dim - |Y|."""
+    span = ModSpan(modular.p)
+    try:
+        for k, v in enumerate(vectors):
+            span.insert(modular.vec(v), k)
+    except ZeroDivisionError:
+        return None
+    if span.rank == dim:
+        return dim, []
+    ys = left_kernel([vectors[k] for k in span.tags], dim, one)
+    if _annihilates(ys, vectors):
+        return dim - len(ys), ys
+    return None
+
+
+def certified_closure_rank(seed_vectors, matrices, modular, one, ys=None):
+    """Exact rank of invariant_closure(seed_vectors, matrices), read mod p
+    through `modular`, or None.
+
+    The closure mod p is spanned by residues of vectors of the exact
+    closure, so the rank r of any part of it is a lower bound.  If Y
+    annihilates every seed and y.M lies in span(Y) for every y in Y and
+    every matrix M, then Y^perp is an invariant subspace holding the seeds,
+    so it holds the closure, and r = dim - |Y| proves the rank; the closure
+    mod p stops there.  Y defaults to the exact left kernel of the closure
+    vectors accepted mod p, recomputed from their origins."""
+    dim = len(matrices[0])
+    try:
+        span = mod_invariant_closure(
+            [modular.vec(v) for v in seed_vectors],
+            [modular.mat(m) for m in matrices], modular.p,
+            dim if ys is None else dim - len(ys))
+    except ZeroDivisionError:
+        return None
+    r = span.rank
+    if r == dim:
+        return r
+    if ys is None:
+        accepted = []
+        for i, a in span.tags:
+            accepted.append(dict(seed_vectors[a]) if i is None
+                            else mat_vec(matrices[i], accepted[a]))
+        ys = left_kernel(accepted, dim, one)
+    if r != dim - len(ys) or not _annihilates(ys, seed_vectors):
+        return None
+    kernel = SpanSolver()
+    for y in ys:
+        kernel.insert(y)
+    for m in matrices:
+        for y in ys:
+            row = {}
+            for j, col in enumerate(m):
+                d = _dot(y, col)
+                if d is not None and not d.is_zero():
+                    row[j] = d
+            if not kernel.contains(row):
+                return None
+    return r

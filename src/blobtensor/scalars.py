@@ -25,7 +25,7 @@ from __future__ import annotations
 import math
 import os
 from fractions import Fraction
-from functools import lru_cache, reduce
+from functools import cached_property, lru_cache, reduce
 
 
 class BlobTensorError(Exception):
@@ -150,6 +150,41 @@ def _pgcd(a, b):
         if len(a) == 1:
             return (1,)
     return a
+
+
+def _peval_mod(cs, t, p):
+    """The polynomial with coefficients cs evaluated at t, mod p."""
+    acc = 0
+    for c in reversed(cs):
+        acc = (acc * t + c) % p
+    return acc
+
+
+class ModularMap:
+    """A ring map from the field's p-integral elements onto F_p, sending q
+    to the residue `q`; `image(x)` is an int in [0, p).  Being a ring map,
+    it sends a nonzero minor to a value that may vanish but never the other
+    way round, so a rank read mod p is a lower bound for the exact rank and
+    the vectors it accepts are exactly independent.  A scalar whose
+    denominator vanishes mod p has no image: ZeroDivisionError."""
+
+    def __init__(self, p, q):
+        self.p = p
+        self.q = q
+        # matrices and families repeat a few distinct values
+        self.image = lru_cache(maxsize=4096)(lambda x: x.residue(p, q))
+
+    def vec(self, v):
+        image = self.image
+        out = {}
+        for i, x in v.items():
+            r = image(x)
+            if r:
+                out[i] = r
+        return out
+
+    def mat(self, cols):
+        return [self.vec(col) for col in cols]
 
 
 # ---------------------------------------------------------------------------
@@ -337,6 +372,14 @@ class GenericScalar:
             e >>= 1
         return out
 
+    def residue(self, p, t):
+        """Image mod p under q -> t."""
+        d = _peval_mod(self.den, t, p)
+        if not d:
+            raise ZeroDivisionError(f"denominator of {self!r} vanishes mod {p}")
+        return (_peval_mod(self.num, t, p) * pow(t, self.shift, p)
+                * pow(d, -1, p) % p)
+
     # -- io -------------------------------------------------------------
 
     def __str__(self):
@@ -360,6 +403,9 @@ class GenericField:
         self.zero = _GENERIC_ZERO
         self.one = GenericScalar(0, (1,), (1,))
         self.q = GenericScalar(1, (1,), (1,))
+        # 7 is a primitive root mod 2^31 - 1, so no q^k - 1 with
+        # 0 < k < p - 1 vanishes
+        self.modular = ModularMap(2 ** 31 - 1, 7)
 
     def from_int(self, k):
         if k == 0:
@@ -537,6 +583,13 @@ class CycScalar:
             e >>= 1
         return out
 
+    def residue(self, p, t):
+        """Image mod p under q -> t, t a root of Phi_l mod p."""
+        d = self.den % p
+        if not d:
+            raise ZeroDivisionError(f"denominator of {self!r} vanishes mod {p}")
+        return _peval_mod(self.num, t, p) * pow(d, -1, p) % p
+
     def __str__(self):
         return ",".join(str(Fraction(c, self.den)) for c in self.num)
 
@@ -584,6 +637,26 @@ class CyclotomicField:
         self._qpow = pw
         # (Z/l)*: k indexes the Galois automorphism q -> q^k
         self.units = [k for k in range(1, l) if math.gcd(k, l) == 1]
+
+    @cached_property
+    def modular(self):
+        """The map into F_p for the least prime p > 2^31 with p = 1 (mod l),
+        so that F_p holds the l-th roots of unity."""
+        p = 2 ** 31 + 1
+        while p % self.l != 1 or not all(p % d for d in
+                                         range(3, math.isqrt(p) + 1, 2)):
+            p += 2
+        return self.modular_map(p)
+
+    def modular_map(self, p):
+        """The map q -> zeta into F_p for a prime p = 1 (mod l), with zeta =
+        a^((p-1)/l) for the least a >= 2 that makes Phi_l(zeta) = 0 mod p."""
+        if p % self.l != 1:
+            raise ValueError(f"F_{p} has no primitive {self.l}-th root")
+        for a in range(2, p):
+            z = pow(a, (p - 1) // self.l, p)
+            if _peval_mod(self.phi, z, p) == 0:
+                return ModularMap(p, z)
 
     def _galois(self, num, k):
         """sigma_k(num) for the automorphism q -> q^k; num is an integer

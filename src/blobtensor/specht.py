@@ -27,8 +27,9 @@ from functools import lru_cache
 
 from .blob import (MatrixRep, ariki_koike_checks_matrices,
                    blob_relation_checks_matrices, dualize)
-from .linalg import (invariant_closure, mat_eq, mat_mul, mat_sub_scalar_diag,
-                     mat_vec, span_rank, vec_add_scaled, vec_eq)
+from .linalg import (certified_closure_rank, invariant_closure, mat_eq,
+                     mat_mul, mat_sub_scalar_diag, mat_vec, span_rank,
+                     vec_add_scaled, vec_eq)
 from .scalars import context, residues_equal
 from .tensor import RelationCheck, ops_Xk_ctx
 from .weightmod import (WeightLabel, _adjointness_injective,
@@ -299,7 +300,8 @@ def dual_adjointness_check(n, lam, params):
 
     Two independent routes: (a) directly on the transposed matrices, where
     the image of the counit is the submodule generated by the column space
-    of the transposed idempotent; (b) on the parameter-swapped word model
+    of the transposed idempotent (its rank read mod p and certified, else
+    by exact elimination); (b) on the parameter-swapped word model
     (lambda1 <-> lambda2, so the weight flips to -lam), where the full
     canonical-family machinery applies verbatim.
 
@@ -310,8 +312,12 @@ def dual_adjointness_check(n, lam, params):
     module = weight_module(n, lam, ctx)
     dual_u = dualize(module).U
     e_dual = _e_matrix(dual_u, ctx)
-    closure = invariant_closure([c for c in e_dual if c], dual_u)
-    direct_surjective = closure.rank == module.dim
+    seeds = [c for c in e_dual if c]
+    closure_rank = certified_closure_rank(seeds, dual_u, ctx.field.modular,
+                                          ctx.one)
+    if closure_rank is None:
+        closure_rank = invariant_closure(seeds, dual_u).rank
+    direct_surjective = closure_rank == module.dim
 
     sctx = ctx.swapped()
     swap_surj = _adjointness_surjective(n, -lam, sctx)
@@ -329,7 +335,7 @@ def dual_adjointness_check(n, lam, params):
     return {
         "n": n, "l": l, "m": m, "lambda": lam,
         "n1": n1, "n2": label.n2, "dim": module.dim,
-        "dual_closure_rank": closure.rank,
+        "dual_closure_rank": closure_rank,
         "dual_surjective": direct_surjective,
         "swap_surjective": swap_surj.surjective,
         "swap_rank_phi_image": swap_surj.rank_span,

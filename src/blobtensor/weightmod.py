@@ -28,7 +28,8 @@ from functools import lru_cache
 from math import comb
 
 from .blob import MatrixRep, blob_relation_checks_matrices, dualize
-from .linalg import (SpanSolver, invariant_closure, mat_eq, mat_mul,
+from .linalg import (SpanSolver, certified_closure_rank,
+                     certified_span_rank, invariant_closure, mat_eq, mat_mul,
                      mat_scale, mat_vec, span_rank, vec_add_scaled, vec_eq,
                      vec_scale, vec_sub)
 from .scalars import context, residues_equal
@@ -314,25 +315,19 @@ def special_element_scalar(n, lam, ctx):
 # the adjointness (counit) tests
 # ---------------------------------------------------------------------------
 
-def _image_family(n, label, ctx):
-    """The spanning family I1 u I2 of the counit image, as word vectors."""
-    n1 = label.n1
-    interior = weight_words(n - 2, n1 - 1)
-    X = op_X_ctx(n, ctx)
-    i1 = []
-    for x in interior:
-        base = underline_vect("", x, ctx)
-        img = {}
-        for w, c in base.items():
-            vec_add_scaled(img, X.apply_word(w), c)
-        vec_add_scaled(img, base, -ctx.lam1)
-        i1.append(img)
-    i2 = []
-    for k in range(n - 1):
-        for word in interior:
-            w1, w2 = word[:k], word[k:]
-            i2.append(underline_vect(w1, w2, ctx))
-    return i1, i2
+def _image_family(module):
+    """The spanning family of the counit image in the coordinates of
+    M_n(lam), and the seeds of eM: (family, seeds).  The family lists the
+    two-term I2 vectors (the underline at every position) before the dense
+    I1 = U_0 applied to the seeds, which are the I2 vectors underlined at
+    positions 1, 2: the rank does not depend on the order, but the fill-in
+    does."""
+    ctx = module.ctx
+    interior = weight_words(module.n - 2, module.label.n1 - 1)
+    i2 = [module.coords(underline_vect(word[:k], word[k:], ctx))
+          for k in range(module.n - 1) for word in interior]
+    seeds = i2[:len(interior)]
+    return i2 + [mat_vec(module.U[0], s) for s in seeds], seeds
 
 
 @dataclass
@@ -353,32 +348,47 @@ class SurjectivityResult:
         return self.dim - self.rank_span
 
 
+def _modular_surjective(module, family, seeds):
+    """(rank_span, closure_rank, spans_agree) from ranks mod p, each
+    certified exactly, or None.  The family's annihilator Y also certifies
+    the closure: Y^perp is then both the family span and the closure."""
+    modular, one = module.ctx.field.modular, module.ctx.one
+    found = certified_span_rank(family, module.dim, modular, one)
+    if found is None:
+        return None
+    rank, ys = found
+    if certified_closure_rank(seeds, module.U, modular, one, ys) != rank:
+        return None
+    return rank, rank, True
+
+
+def _exact_surjective(module, family, seeds):
+    """The same triple by exact elimination; the spans agree when their
+    ranks do and every closure row lies in the family span."""
+    span = SpanSolver()
+    for v in family:
+        span.insert(v)
+    closure = invariant_closure(seeds, module.U)
+    agree = span.rank == closure.rank and \
+        all(span.contains(row) for row in closure.rows.values())
+    return span.rank, closure.rank, agree
+
+
 def _adjointness_surjective(n, lam, ctx):
     """Is the counit G F M_n(lam) -> M_n(lam) onto?  Computed two ways: the
     rank of the explicit family I1 u I2, and the closure of eM under the
-    generator matrices; both ranks and the spans themselves are compared."""
+    generator matrices; both ranks and the spans themselves are compared,
+    over F_p with exact certificates, else by exact elimination."""
     if n < 3:
         raise ValueError("adjointness tests need n >= 3")
-    label = WeightLabel(n, lam)
     if abs(lam) == n:
         raise ValueError("lambda = +-n is outside the adjointness setting")
     module = weight_module(n, lam, ctx)
-    i1, i2 = _image_family(n, label, ctx)
-    span = SpanSolver()
-    # the rank does not depend on the order, but the fill-in does: the
-    # two-term I2 vectors go in before the dense I1 vectors
-    family_coords = [module.coords(v) for v in i2 + i1]
-    for v in family_coords:
-        span.insert(v)
-    # closure of eM = span{w 12-underline} under all generators
-    seeds = [module.coords(underline_vect(w, "", ctx))
-             for w in weight_words(n - 2, label.n1 - 1)]
-    closure = invariant_closure(seeds, module.U)
-    agree = span.rank == closure.rank and \
-        all(closure.contains(v) for v in family_coords) and \
-        all(span.contains(s) for s in seeds)
-    return SurjectivityResult(n, lam, module.dim, span.rank,
-                              closure.rank, agree)
+    family, seeds = _image_family(module)
+    found = _modular_surjective(module, family, seeds)
+    if found is None:
+        found = _exact_surjective(module, family, seeds)
+    return SurjectivityResult(n, lam, module.dim, *found)
 
 
 def _canonical_family(n, label, ctx):
