@@ -138,10 +138,10 @@ def _pgcd(a, b):
         return _pprimitive(b)[1]
     if not b:
         return _pprimitive(a)[1]
-    a = _pprimitive(a)[1]
-    b = _pprimitive(b)[1]
     if len(a) == 1 or len(b) == 1:
         return (1,)
+    a = _pprimitive(a)[1]
+    b = _pprimitive(b)[1]
     if len(a) < len(b):
         a, b = b, a
     while b:
@@ -219,6 +219,18 @@ class GenericScalar:
     Canonical form: value = q**shift * num(q)/den(q) with num(0) != 0,
     den(0) != 0, den's leading coefficient positive, num/den coprime in Q[q]
     and the integer contents of num and den coprime.
+
+    Sums, parsing and raw data go through `make`, the one canonicaliser.
+    Products skip it by Henrici's rule (P. Henrici, "A subroutine for
+    computations with rational numbers", J. ACM 3 (1956); Knuth, TAOCP
+    vol. 2, 4.5.1): for canonical na/da and nb/db, cancel g1 = gcd(na, db)
+    and g2 = gcd(nb, da), the primitive gcds with positive leading
+    coefficients.  The cofactors n1 n2 and d1 d2 are then coprime in Q[q],
+    since gcd(na, da) = gcd(nb, db) = 1 and the cross gcds were divided
+    out.  By Gauss's lemma the cofactors are integral; their constant terms
+    stay nonzero (n1 g1 = na, and so on) and d1 d2 keeps a positive leading
+    coefficient.  Only the integer contents may still share a factor, and
+    dividing both sides by it gives the canonical form.
     """
 
     __slots__ = ("shift", "num", "den")
@@ -326,15 +338,21 @@ class GenericScalar:
             return NotImplemented
         if not self.num or not o.num:
             return _GENERIC_ZERO
-        # cross-cancel first to keep the gcd calls small
+        # Henrici: after cross-cancellation only the contents can still
+        # share a factor (see the class docstring)
         g1 = _pgcd(self.num, o.den)
         g2 = _pgcd(o.num, self.den)
         n1 = self.num if len(g1) == 1 else _pdiv_exact(self.num, g1)
         d2 = o.den if len(g1) == 1 else _pdiv_exact(o.den, g1)
         n2 = o.num if len(g2) == 1 else _pdiv_exact(o.num, g2)
         d1 = self.den if len(g2) == 1 else _pdiv_exact(self.den, g2)
-        return GenericScalar.make(
-            self.shift + o.shift, _pmul(n1, n2), _pmul(d1, d2))
+        num = _pmul(n1, n2)
+        den = _pmul(d1, d2)
+        c = math.gcd(*num, *den)
+        if c > 1:
+            num = tuple(x // c for x in num)
+            den = tuple(x // c for x in den)
+        return GenericScalar(self.shift + o.shift, num, den)
 
     __rmul__ = __mul__
 
@@ -368,8 +386,9 @@ class GenericScalar:
         while e:
             if e & 1:
                 out = out * base
-            base = base * base
             e >>= 1
+            if e:
+                base = base * base
         return out
 
     def residue(self, p, t):
@@ -579,8 +598,9 @@ class CycScalar:
         while e:
             if e & 1:
                 out = out * base
-            base = base * base
             e >>= 1
+            if e:
+                base = base * base
         return out
 
     def residue(self, p, t):

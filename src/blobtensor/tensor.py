@@ -226,14 +226,22 @@ def weight_blocks(n, ops):
 
 def verify_ariki_koike(n, ctx):
     """Check the defining relations on every basis word of V^(x)n, through
-    the matrices on each weight block.  Returns one RelationCheck per
-    relation."""
+    the matrices on each weight block: X and T2 .. Tn are those of the
+    cached weight modules M_n(lam), the other operators are built on their
+    bases.  Returns one RelationCheck per relation."""
+    from .weightmod import module_blocks
+
     if n < 2:
         raise ValueError("relation suite needs n >= 2")
-    ops = [op_X_ctx(n, ctx), op_varpi_ctx(n, ctx), op_theta_varpi_ctx(n, ctx)]
+    ops = [op_varpi_ctx(n, ctx), op_theta_varpi_ctx(n, ctx)]
     for i in range(2, n + 1):
-        ops += [op_T_ctx(i, n, ctx), op_T_inv_ctx(i, n, ctx),
-                op_S_ctx(i, n, ctx)]
+        ops += [op_T_inv_ctx(i, n, ctx), op_S_ctx(i, n, ctx)]
+
+    def blocks():
+        for basis, mats in module_blocks(n, ctx):
+            yield basis, dict(mats, **{op.name: op.matrix(basis)
+                                       for op in ops})
+
     rels = ariki_koike_relations([f"T{i}" for i in range(2, n + 1)], ctx,
                                  identity=False)
     # grouped by name prefix, prefixes ranked by first appearance (the keys
@@ -246,7 +254,7 @@ def verify_ariki_koike(n, ctx):
         word(*(f"S{j}" for j in range(n, 1, -1)), "varpi")))
     rels += [Relation(f"two_sided_inverse(T{i})", word(f"T{i}^-1", f"T{i}"),
                       word()) for i in range(2, n + 1)]
-    return evaluate(rels, weight_blocks(n, ops), ctx.one)
+    return evaluate(rels, blocks(), ctx.one)
 
 
 def verify_partial_rotation_fixing(j, p, n, ctx):

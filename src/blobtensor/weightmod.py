@@ -292,14 +292,15 @@ def quotient_scalar_record(n, lam, ctx):
     if abs(lam) == n:
         raise ValueError("lambda = +-n has no underline positions")
     n1, n2 = label.n1, label.n2
-    X = op_X_ctx(n, ctx)
-    v = "1" * n1 + "2" * n2
-    w = "2" * n2 + "1" * n1
-    red_v = straighten_vect(X.apply_word(v), ctx)
-    computed_v = red_v / straighten_word(v, ctx)
-    computed_w = straighten_vect(X.apply_word(w), ctx) / straighten_word(w, ctx)
+    module = weight_module(n, lam, ctx)
+
+    def computed(word):
+        image = module.words(module.x[module.index[word]])
+        return straighten_vect(image, ctx) / straighten_word(word, ctx)
+
     return QuotientScalars(ctx.lam1 * ctx.q_pow(-2 * n2), ctx.lam2,
-                           computed_v, computed_w)
+                           computed("1" * n1 + "2" * n2),
+                           computed("2" * n2 + "1" * n1))
 
 
 def special_element_scalar(n, lam, ctx):

@@ -366,9 +366,11 @@ def test_no_result_and_no_skip_is_a_failure(tmp_path, capsys):
 
 def test_operator_leaving_its_block_is_a_verification_error(monkeypatch,
                                                             capsys):
-    from blobtensor import tensor
+    from functools import lru_cache
 
-    good = tensor.op_T_ctx
+    from blobtensor import weightmod
+
+    good = weightmod.op_T_ctx
 
     def leaky(i, n, ctx):
         op = good(i, n, ctx)
@@ -376,7 +378,11 @@ def test_operator_leaving_its_block_is_a_verification_error(monkeypatch,
             op._rule = lambda w: {"1" * n: ctx.one}
         return op
 
-    monkeypatch.setattr(tensor, "op_T_ctx", leaky)
+    # the relation suites read T2 .. Tn from the weight modules; a fresh
+    # module cache builds them with the leaky T3 and is dropped afterwards
+    monkeypatch.setattr(weightmod, "op_T_ctx", leaky)
+    monkeypatch.setattr(weightmod, "weight_module",
+                        lru_cache(maxsize=None)(weightmod.WeightModule))
     rc = main(["verify-relations", "--n", "3", "--l", "0", "--m", "2"])
     err = capsys.readouterr().err
     assert rc == 1

@@ -1,6 +1,7 @@
 """Exact-arithmetic backends: canonical forms, parameters, serialization."""
 
 import doctest
+import sys
 from fractions import Fraction
 from functools import reduce
 from math import gcd
@@ -12,7 +13,8 @@ from hypothesis import strategies as st
 
 import blobtensor.scalars as scalars_module
 from blobtensor.scalars import (GENERIC, BlobParams, GenericScalar,
-                                ParameterError, check_params, context,
+                                ParameterError, _pcontent, _pgcd, _pmul,
+                                check_params, context,
                                 cyclotomic_field, cyclotomic_polynomial,
                                 effective_max_n, residues_equal, specialize,
                                 validate_params)
@@ -269,6 +271,58 @@ def test_generic_canonical_forms_match_sympy(elem_a, elem_b):
             assert (got.shift, got.num, got.den) == want, oracle
 
 
+def _assert_canonical(x):
+    """The invariants of a nonzero canonical GenericScalar."""
+    assert x.num[0] != 0 and x.den[0] != 0
+    assert x.den[-1] > 0
+    assert _pgcd(x.num, x.den) == (1,)
+    assert gcd(_pcontent(x.num), _pcontent(x.den)) == 1
+
+
+small_polys = st.lists(st.integers(-3, 3), min_size=1, max_size=3).filter(any)
+
+
+@given(st.integers(-2, 2), small_polys, small_polys,
+       st.integers(-2, 2), small_polys, small_polys)
+@settings(max_examples=60, deadline=None)
+def test_generic_products_with_cross_factors_are_canonical(
+        sa, x, y, sb, z, w):
+    # a = 2 (q - 1) x / y and b = z / (2 (q - 1) w): the numerator of each
+    # operand shares the factor 2 (q - 1) with the other's denominator, so
+    # the product needs the cross gcds and the content step
+    q = sympy.Symbol("q")
+
+    def poly(cs):
+        return sum(c * q ** i for i, c in enumerate(cs))
+
+    two_qm1 = (-2, 2)
+    a = GenericScalar.make(sa, _pmul(two_qm1, tuple(x)), tuple(y))
+    b = GenericScalar.make(sb, tuple(z), _pmul(two_qm1, tuple(w)))
+    oracle = (q ** sa * 2 * (q - 1) * poly(x) / poly(y)
+              * q ** sb * poly(z) / (2 * (q - 1) * poly(w)))
+    got = a * b
+    assert (got.shift, got.num, got.den) == _generic_canonical(oracle, q)
+    _assert_canonical(got)
+
+
+def test_cross_factor_products_need_the_cross_gcds(monkeypatch):
+    # negative control: with the cross-cancellation gone from __mul__ (and
+    # only there: the operands are still built by make), the products of the
+    # test above keep the common factor q - 1 and the test must fail
+    real = scalars_module._pgcd
+
+    def no_cross_gcd(a, b):
+        if sys._getframe(1).f_code.co_name == "__mul__":
+            return (1,)
+        return real(a, b)
+
+    check = test_generic_products_with_cross_factors_are_canonical
+    check.hypothesis.inner_test(1, [1], [1], -2, [3], [1, 1])
+    monkeypatch.setattr(scalars_module, "_pgcd", no_cross_gcd)
+    with pytest.raises(AssertionError):
+        check.hypothesis.inner_test(1, [1], [1], -2, [3], [1, 1])
+
+
 def test_cyclotomic_inverse_rejects_wrong_conjugates(monkeypatch):
     # negative control: with sigma_k replaced by the identity the conjugate
     # product is no longer the norm cofactor, and inv must refuse
@@ -407,8 +461,6 @@ polys = st.lists(st.integers(-5, 5), min_size=1, max_size=5).filter(
 @settings(max_examples=120)
 def test_common_factors_fully_cancel(a, b, g):
     # make(a*g / b*g) must equal make(a / b): the canonical form is unique
-    from blobtensor.scalars import _pmul
-
     ag = _pmul(tuple(a), tuple(g))
     bg = _pmul(tuple(b), tuple(g))
     assert GenericScalar.make(0, ag, bg) == \
@@ -419,15 +471,8 @@ def test_common_factors_fully_cancel(a, b, g):
 @settings(max_examples=60)
 def test_canonical_form_coprimality(a, b):
     x = GenericScalar.make(0, tuple(a), tuple(b))
-    from blobtensor.scalars import _pgcd, _pcontent
-    from math import gcd as int_gcd
-
-    if x.is_zero():
-        return
-    assert x.num[0] != 0 and x.den[0] != 0
-    assert x.den[-1] > 0
-    assert _pgcd(x.num, x.den) == (1,)
-    assert int_gcd(_pcontent(x.num), _pcontent(x.den)) == 1
+    if not x.is_zero():
+        _assert_canonical(x)
 
 
 def test_residues_equal():
