@@ -17,8 +17,8 @@ from .weightmod import (WeightLabel, WeightModule, adjointness_record,
 from .specht import (Bitableau, MatrixRep, Shape, build_S_prime, col_shape,
                      dual_adjointness_check, dualize, gi_action, phi_map,
                      row_shape, standard_bitableaux)
-from .towers import (central_z, restriction_sequence, splitting_check,
+from .towers import (restriction_sequence, splitting_check,
                      verify_central_z, verify_smallcase_matrices,
-                     x_multiplicity_table)
+                     x_multiplicity_table, z_matrix)
 
 __version__ = "0.1.0"

@@ -13,14 +13,18 @@ The scalars are expressed through the context as [2] = q + q^-1,
 checks run unchanged on swapped or otherwise generalized parameters.
 
 `MatrixRep` is the one matrix representation: it stores X and g_1 .. g_{n-1}
-and derives the blob generators from them once, at construction.  The
+and derives the blob generators from them once, at construction, and the
+Jucys-Murphy elements X_k and the central products z_k on first use.  The
 abstract algebra is never materialized as a based algebra; only the action
 matters here.
 """
 
 from __future__ import annotations
 
-from .linalg import mat_sub_scalar_diag, mat_transpose
+from functools import cached_property
+from itertools import accumulate
+
+from .linalg import mat_mul, mat_sub_scalar_diag, mat_transpose
 from .relations import (ZERO, Relation, ariki_koike_relations, blob_identity,
                         blob_relations, commute, evaluate, product)
 from .tensor import (ops_Xk_ctx, verify_ariki_koike, verify_blob_identity,
@@ -47,6 +51,18 @@ class MatrixRep:
     @property
     def n(self):
         return len(self.g) + 1
+
+    @cached_property
+    def xk(self):
+        """[X_1, ..., X_n]: X_1 = X, X_k = g_{k-1} X_{k-1} g_{k-1}."""
+        return list(accumulate((self.g[i] for i in sorted(self.g)),
+                               lambda x, g: mat_mul(g, mat_mul(x, g)),
+                               initial=self.x))
+
+    @cached_property
+    def z(self):
+        """[z_1, ..., z_n]: z_k = X_1 ... X_k = X_k z_{k-1}."""
+        return list(accumulate(self.xk, lambda z, x: mat_mul(x, z)))
 
 
 def dualize(rep):

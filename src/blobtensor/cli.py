@@ -1,8 +1,9 @@
 """Command-line driver: parameter grids, verification reports, goldens.
 
 Exit codes: 0 = every check passed (or was skipped with a reason),
-1 = at least one verification failed, or a request produced no result at
-all, 2 = configuration error.
+1 = at least one verification failed, a request produced no result at all,
+or the report could not be written, 2 = configuration error (including an
+--out path whose directory is missing, and a malformed BLOBTENSOR_MAX_N).
 
 Reports are deterministic: grids iterate l ascending, then m, then n, then
 lambda; scalars serialize canonically; JSON is emitted with sorted keys.
@@ -13,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from . import blob, specht, towers, weightmod
@@ -81,6 +83,23 @@ def _matrix_json(cols, basis, field):
                       else field.serialize(field.zero) for i in range(dim)])
     return {"basis": list(basis), "columns": dense,
             "convention": "columns are images"}
+
+
+def _check_out(path):
+    """Reject an --out path that cannot be written before any computation;
+    the file itself is neither created nor truncated."""
+    if path is None:
+        return
+    folder = os.path.dirname(os.path.abspath(path))
+    if not os.path.isdir(folder):
+        problem = f"no directory {folder}"
+    elif os.path.isdir(path):
+        problem = "is a directory"
+    elif not os.access(path if os.path.exists(path) else folder, os.W_OK):
+        problem = "not writable"
+    else:
+        return
+    raise ParameterError("bad_out", f"--out {path}: {problem}")
 
 
 def _emit(args, report):
@@ -363,6 +382,7 @@ def main(argv=None):
               file=sys.stderr)
         return 2
     try:
+        _check_out(args.out)
         report, ok = args.fn(args)
     except ParameterError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
@@ -379,7 +399,11 @@ def main(argv=None):
             and args.m and not report["results"] and not report["skipped"]:
         print("no grid point produced a result", file=sys.stderr)
         report["ok"] = ok = False
-    _emit(args, report)
+    try:
+        _emit(args, report)
+    except OSError as exc:
+        print(f"cannot write the report: {exc}", file=sys.stderr)
+        return 1
     return 0 if ok else 1
 
 

@@ -897,9 +897,17 @@ DEFAULT_MAX_N = {"generic": 12, "cyclotomic": 16}
 
 def effective_max_n(backend):
     override = os.environ.get("BLOBTENSOR_MAX_N")
-    if override:
-        return int(override)
-    return DEFAULT_MAX_N[backend]
+    if not override:
+        return DEFAULT_MAX_N[backend]
+    try:
+        cap = int(override)
+    except ValueError:
+        cap = 0
+    if cap < 1:
+        raise ParameterError(
+            "bad_max_n",
+            f"BLOBTENSOR_MAX_N={override!r} is not a positive integer")
+    return cap
 
 
 def check_size(n, backend):

@@ -28,8 +28,8 @@ from functools import lru_cache
 from .blob import (MatrixRep, ariki_koike_checks_matrices,
                    blob_relation_checks_matrices, dualize)
 from .linalg import (certified_closure_rank, invariant_closure, mat_eq,
-                     mat_mul, mat_sub_scalar_diag, mat_vec, span_rank,
-                     vec_add_scaled, vec_eq)
+                     mat_sub_scalar_diag, mat_vec, span_rank, vec_add_scaled,
+                     vec_eq)
 from .scalars import context, residues_equal
 from .tensor import RelationCheck, ops_Xk_ctx
 from .weightmod import (WeightLabel, _adjointness_injective,
@@ -169,15 +169,8 @@ def build_S_prime(n1, n2, ctx):
         raise ArithmeticError("phi failed to be injective")
     ordered = tuple(by_word[w] for w in module.basis)
     index = {t: i for i, t in enumerate(ordered)}
-    g = {}
-    for i in range(1, n):
-        cols = []
-        for t in ordered:
-            col = {}
-            for u, c in gi_action(i, t, ctx).items():
-                col[index[u]] = c
-            cols.append(col)
-        g[i] = cols
+    g = {i: [{index[u]: c for u, c in gi_action(i, t, ctx).items()}
+             for t in ordered] for i in range(1, n)}
     return MatrixRep(ordered, module.x, g, ctx)
 
 
@@ -232,42 +225,32 @@ def verify_gi_quadratic_on_bitableaux(shape, ctx):
     return [RelationCheck("gi_quadratic_on_bitableaux", bad is None, bad)]
 
 
+def _xi_eigenvalue(i, n2, ctx):
+    """lambda2 q^(2(i-1)) for i <= n2 and lambda1 q^(2(i-n2-1)) beyond."""
+    if i <= n2:
+        return ctx.lam2 * ctx.q_pow(2 * (i - 1))
+    return ctx.lam1 * ctx.q_pow(2 * (i - n2 - 1))
+
+
 def xi_word_eigenvalue_checks(n1, n2, ctx):
-    """X_i on the word 2^n2 1^n1: lambda2 q^(2(i-1)) for i <= n2 and
-    lambda1 q^(2(i-n2-1)) beyond, computed with the tensor operators."""
-    n = n1 + n2
+    """X_i on the word 2^n2 1^n1 has the eigenvalue `_xi_eigenvalue`,
+    computed with the tensor operators."""
     w = "2" * n2 + "1" * n1
-    xs = ops_Xk_ctx(n, ctx)
-    checks = []
-    for i in range(1, n + 1):
-        if i <= n2:
-            expect = ctx.lam2 * ctx.q_pow(2 * (i - 1))
-        else:
-            expect = ctx.lam1 * ctx.q_pow(2 * (i - n2 - 1))
-        ok = xs[i - 1].apply_word(w) == {w: expect}
-        checks.append(RelationCheck(f"Xi_word_eigenvalue(i={i})", ok))
-    return checks
+    return [RelationCheck(f"Xi_word_eigenvalue(i={i})",
+                          x.apply_word(w) == {w: _xi_eigenvalue(i, n2, ctx)})
+            for i, x in enumerate(ops_Xk_ctx(n1 + n2, ctx), start=1)]
 
 
 def xi_bitableau_eigenvalue_checks(n1, n2, ctx):
     """The same eigenvalues on the distinguished column bitableau, computed
-    from the transported matrices via X_i = g_{i-1} X_{i-1} g_{i-1}."""
-    n = n1 + n2
+    from the transported matrices via X_i = g_{i-1} X_{i-1} g_{i-1}
+    (`MatrixRep.xk`)."""
     rep = build_S_prime(n1, n2, ctx)
-    t0 = special_col_bitableau(n1, n2)
-    j = rep.labels.index(t0)
-    xi = rep.x
-    checks = []
-    for i in range(1, n + 1):
-        if i > 1:
-            xi = mat_mul(rep.g[i - 1], mat_mul(xi, rep.g[i - 1]))
-        if i <= n2:
-            expect = ctx.lam2 * ctx.q_pow(2 * (i - 1))
-        else:
-            expect = ctx.lam1 * ctx.q_pow(2 * (i - n2 - 1))
-        ok = vec_eq(mat_vec(xi, {j: ctx.one}), {j: expect})
-        checks.append(RelationCheck(f"Xi_bitableau_eigenvalue(i={i})", ok))
-    return checks
+    j = rep.labels.index(special_col_bitableau(n1, n2))
+    return [RelationCheck(f"Xi_bitableau_eigenvalue(i={i})",
+                          vec_eq(mat_vec(xi, {j: ctx.one}),
+                                 {j: _xi_eigenvalue(i, n2, ctx)}))
+            for i, xi in enumerate(rep.xk, start=1)]
 
 
 def verify_dualize_properties(n1, n2, ctx):

@@ -11,7 +11,8 @@ restricted module z_{n-1} has at most the two scalars belonging to the
 sub/quotient factors; when they differ the two eigenspaces split the module.
 When they coincide (the wall case lam = -m mod l) the eigenspace criterion
 degenerates; a split module would then have z_{n-1} = s*Id, so a nonzero
-z_{n-1} - s certifies that the sequence does not split.
+z_{n-1} - s certifies that the sequence does not split.  z_n and z_{n-1}
+are links of one chain of products of the module's matrices (`MatrixRep.z`).
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from math import comb
 from .blob import MatrixRep
 from .linalg import (mat_eq, mat_is_zero, mat_mul, mat_sub_scalar_diag,
                      mat_vec, nullspace, vec_eq)
-from .tensor import RelationCheck, op_T_ctx, op_X_ctx, ops_Xk_ctx
+from .tensor import RelationCheck, op_T_ctx, op_X_ctx
 from .weightmod import WeightLabel, lambda_range, weight_basis, weight_module
 
 
@@ -98,16 +99,11 @@ def restriction_sequence(n, lam, ctx):
 # the central element
 # ---------------------------------------------------------------------------
 
-def central_z(k, n, ctx):
-    """z_k = X_1 X_2 ... X_k as a lazy operator on V^(x)n."""
-    if not 1 <= k <= n:
-        raise ValueError(f"k={k} out of range 1..{n}")
-    xs = ops_Xk_ctx(n, ctx, k)
-    op = xs[0]
-    for x in xs[1:]:
-        op = x @ op
-    op.name = f"z{k}"
-    return op
+def z_matrix(k, module):
+    """z_k = X_1 X_2 ... X_k on a `MatrixRep`, from its cached chain."""
+    if not 1 <= k <= module.n:
+        raise ValueError(f"k={k} out of range 1..{module.n}")
+    return module.z[k - 1]
 
 
 def z_scalar_formula(label, ctx):
@@ -136,13 +132,14 @@ class CentralScalarReport:
 
 def verify_central_z(n, lam, ctx):
     """z_n acts on M_n(lam) by the closed-form scalar, and commutes with
-    every generator matrix."""
+    every generator matrix.  A scalar matrix commutes with every matrix, so
+    the commutators are only formed when z_n is not that scalar."""
     module = weight_module(n, lam, ctx)
-    zmat = central_z(n, n, ctx).matrix(module.basis)
+    zmat = z_matrix(n, module)
     expect = z_scalar_formula(module.label, ctx)
     scalar_ok = all(vec_eq(zmat[j], {j: expect}) for j in range(module.dim))
-    central = all(mat_eq(mat_mul(zmat, u), mat_mul(u, zmat))
-                  for u in module.U)
+    central = scalar_ok or all(mat_eq(mat_mul(zmat, u), mat_mul(u, zmat))
+                               for u in module.U)
     return CentralScalarReport(n, lam, scalar_ok, central)
 
 
@@ -173,19 +170,20 @@ class SplittingResult:
 def splitting_check(n, lam, ctx):
     """Decide splitting of res M_n(lam) by the eigenvalues of z_{n-1}.
 
-    Off the wall (distinct scalars) the two eigenspaces must have the
-    binomial dimensions and be invariant under every b_{n-1} generator.  On
-    the wall the scalars coincide and the eigenspace criterion is silent;
-    the exact certificate z_{n-1} - s != 0 (see `_wall_complement_search`)
-    is reported as `complement`.  The wall verdict itself stays
-    "undetermined"."""
+    z_{n-1} is its own link of the chain, not z_n X_n^-1, so the verdict
+    does not lean on `verify_central_z`.  Off the wall (distinct scalars)
+    the two eigenspaces must have the binomial dimensions and be invariant
+    under every b_{n-1} generator.  On the wall the scalars coincide and the
+    eigenspace criterion is silent; the exact certificate z_{n-1} - s != 0
+    (see `_wall_complement_search`) is reported as `complement`.  The wall
+    verdict itself stays "undetermined"."""
     if n < 3:
         raise ValueError("splitting analysis needs n >= 3")
     label = WeightLabel(n, lam)
     if abs(lam) == n:
         raise ValueError("lambda = +-n does not restrict in two pieces")
     module = weight_module(n, lam, ctx)
-    zmat = central_z(n - 1, n, ctx).matrix(module.basis)
+    zmat = z_matrix(n - 1, module)
     s_minus = z_scalar_formula(WeightLabel(n - 1, lam - 1), ctx)
     s_plus = z_scalar_formula(WeightLabel(n - 1, lam + 1), ctx)
     a = label.a

@@ -317,6 +317,67 @@ def test_size_cap_env_override(tmp_path):
     assert r.returncode == 0
 
 
+@pytest.mark.parametrize("value", ["-1", "0", "abc"])
+def test_size_cap_env_must_be_positive(value):
+    r = run_cli(["restrict", "--n", "3", "--l", "3", "--m", "2"],
+                {"BLOBTENSOR_MAX_N": value})
+    assert r.returncode == 2
+    assert r.stderr == (f"configuration error: BLOBTENSOR_MAX_N={value!r} "
+                        "is not a positive integer\n")
+
+
+def test_out_in_missing_directory_fails_before_computing(monkeypatch,
+                                                          tmp_path, capsys):
+    import blobtensor.cli as cli
+
+    def never(args):
+        raise AssertionError("the grid ran before --out was checked")
+
+    monkeypatch.setattr(cli, "cmd_restrict", never)
+    out = tmp_path / "missing" / "x.json"
+    rc = main(["restrict", "--n", "3", "--lambda", "all", "--l", "3",
+               "--m", "2", "--out", str(out)])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith(
+        f"configuration error: --out {out}: no directory")
+    assert not out.parent.exists()
+    # a directory is no file to write to either, nor is a path in a
+    # directory the process may not write to
+    assert main(["triangle", "--n", "3", "--out", str(tmp_path)]) == 2
+    monkeypatch.setattr(cli.os, "access", lambda path, mode: False)
+    assert main(["triangle", "--n", "3", "--out",
+                 str(tmp_path / "x.csv")]) == 2
+    assert capsys.readouterr().err.endswith(
+        f"--out {tmp_path / 'x.csv'}: not writable\n")
+
+
+def test_out_check_leaves_existing_file_alone(tmp_path):
+    # the check neither truncates nor creates: a run that then fails its
+    # configuration keeps the old file, and a missing file stays missing
+    old = tmp_path / "old.json"
+    old.write_text("keep")
+    new = tmp_path / "new.json"
+    for out in (old, new):
+        assert main(["restrict", "--n", "40", "--l", "3", "--m", "2",
+                     "--out", str(out)]) == 2
+    assert old.read_text() == "keep"
+    assert not new.exists()
+
+
+def test_report_write_failure_is_one_line(monkeypatch, tmp_path, capsys):
+    # a write that fails after the check (here: the check switched off)
+    # ends with one stderr line, no traceback
+    import blobtensor.cli as cli
+
+    monkeypatch.setattr(cli, "_check_out", lambda path: None)
+    out = tmp_path / "missing" / "x.json"
+    rc = main(["restrict", "--n", "3", "--lambda", "all", "--l", "3",
+               "--m", "2", "--out", str(out)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("cannot write the report: ") and err.count("\n") == 1
+
+
 def test_determinism_byte_identical(tmp_path):
     args = ["adjointness", "--n", "3..4", "--l", "3,5", "--m", "2,3"]
     outputs = []

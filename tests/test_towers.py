@@ -7,16 +7,16 @@ import pytest
 
 from blobtensor import towers
 from blobtensor.blob import MatrixRep
-from blobtensor.linalg import vec_eq
+from blobtensor.linalg import mat_eq, vec_eq
 from blobtensor.scalars import BlobParams, context, residues_equal
-from blobtensor.tensor import op_S_ctx, op_T_inv_ctx
-from blobtensor.towers import (central_z, restriction_sequence,
-                               smallcase_golden, verify_smallcase_matrices,
-                               splitting_check, verify_central_z,
-                               verify_triangle, verify_x_triangular,
-                               x_multiplicity_entry, x_multiplicity_table,
+from blobtensor.tensor import op_S_ctx, op_T_inv_ctx, ops_Xk_ctx
+from blobtensor.towers import (restriction_sequence, smallcase_golden,
+                               verify_smallcase_matrices, splitting_check,
+                               verify_central_z, verify_triangle,
+                               verify_x_triangular, x_multiplicity_entry,
+                               x_multiplicity_table, z_matrix,
                                z_scalar_formula)
-from blobtensor.weightmod import WeightLabel, lambda_range
+from blobtensor.weightmod import WeightLabel, lambda_range, weight_module
 
 C4 = context(BlobParams(4, 0, 2))
 
@@ -66,11 +66,36 @@ def test_restriction_rejects_extremes():
 
 def test_central_z_scalar_m31():
     ctx = C4
-    z = central_z(3, 3, ctx)
+    module = weight_module(3, 1, ctx)
+    z = z_matrix(3, module)
     expect = (ctx.lam1 ** 2) * ctx.lam2 * (ctx.q ** 2)
     assert z_scalar_formula(WeightLabel(3, 1), ctx) == expect
+    assert sorted(module.basis) == ["112", "121", "211"]
     for w in ("211", "112", "121"):
-        assert z.apply_word(w) == {w: expect}
+        j = module.index[w]
+        assert z[j] == {j: expect}
+
+
+# l in {0, 3, 5}, m in {2, 3}; (3, 3) has lambda1 = lambda2 and is invalid
+@pytest.mark.parametrize("l,m", [(0, 2), (0, 3), (3, 2), (5, 2), (5, 3)])
+def test_module_chain_matches_lazy_chain(l, m):
+    # X_k and z_k from products of the module's matrices equal the matrices
+    # of the lazy word-rule chain X_k = T_k X_{k-1} T_k, z_k = X_k z_{k-1}
+    ctx = context(BlobParams(2, l, m))
+    for n in range(1, 7):
+        xs = ops_Xk_ctx(n, ctx)
+        for lam in lambda_range(n):
+            module = weight_module(n, lam, ctx)
+            assert len(module.xk) == len(module.z) == n
+            z = xs[0]
+            for k in range(1, n + 1):
+                if k > 1:
+                    z = xs[k - 1] @ z
+                assert mat_eq(module.xk[k - 1],
+                              xs[k - 1].matrix(module.basis)), (n, lam, k)
+                assert mat_eq(module.z[k - 1], z.matrix(module.basis)), \
+                    (n, lam, k)
+                assert z_matrix(k, module) is module.z[k - 1]
 
 
 @pytest.mark.parametrize("l,m", [(0, 2), (5, 2), (7, 3)])
@@ -83,18 +108,28 @@ def test_central_z_grid(l, m):
 
 
 def test_central_z_range_check():
-    with pytest.raises(ValueError):
-        central_z(5, 4, C4)
+    module = weight_module(4, 0, C4)
+    for k in (0, 5):
+        with pytest.raises(ValueError):
+            z_matrix(k, module)
 
 
 def test_non_central_z_fails(monkeypatch):
     # X_1 alone is neither scalar on M_4(0) nor central: both verdicts drop
-    from blobtensor.tensor import op_X_ctx
-
-    monkeypatch.setattr(towers, "central_z",
-                        lambda k, n, ctx: op_X_ctx(n, ctx))
+    monkeypatch.setattr(towers, "z_matrix", lambda k, module: module.x)
     rep = verify_central_z(4, 0, context(BlobParams(4, 5, 2)))
     assert not rep.scalar_matches and not rep.central and not rep.ok
+
+
+def test_perturbed_x_breaks_central_scalar(monkeypatch):
+    # one off-diagonal unit in X of M_4(0): z_4 is rebuilt from the
+    # perturbed matrices (the cached chain of the real module must not
+    # leak into the copy) and is no longer the scalar
+    ctx = context(BlobParams(4, 5, 2))
+    assert verify_central_z(4, 0, ctx).ok
+    _perturbed_modules(monkeypatch, 0, 0, 1)
+    rep = verify_central_z(4, 0, ctx)
+    assert not rep.scalar_matches and not rep.ok
 
 
 def test_splitting_generic_and_cyclotomic():
@@ -167,11 +202,8 @@ def test_wall_with_scalar_z_is_not_certified(monkeypatch):
     ctx = context(BlobParams(4, 3, 2))
     s = z_scalar_formula(WeightLabel(3, -3), ctx)
 
-    class ScalarZ:
-        def matrix(self, basis):
-            return [{j: s} for j in range(len(basis))]
-
-    monkeypatch.setattr(towers, "central_z", lambda k, n, ctx: ScalarZ())
+    monkeypatch.setattr(towers, "z_matrix", lambda k, module: [
+        {j: s} for j in range(module.dim)])
     res = splitting_check(4, -2, ctx)
     assert res.wall and res.complement == "not_attempted"
 
@@ -180,7 +212,9 @@ def _perturbed_modules(monkeypatch, gen, i, j, where=None):
     """Make towers see weight modules whose generator `gen` (0 for X, else
     g_gen) has one extra unit at (i, j), with U rebuilt from the perturbed
     matrices; only the modules (n, lam) that `where` accepts change, and the
-    cached modules stay untouched."""
+    cached modules stay untouched.  The copy drops the X_k and z_k chains
+    cached on the real module, so they are rebuilt from the perturbed
+    matrices."""
     real = towers.weight_module
 
     def fake(n, lam, ctx):
@@ -188,6 +222,8 @@ def _perturbed_modules(monkeypatch, gen, i, j, where=None):
         if where is not None and not where(n, lam):
             return module
         module = copy.copy(module)
+        for chain in ("xk", "z"):
+            vars(module).pop(chain, None)
         stored = module.x if gen == 0 else module.g[gen]
         mat = [dict(col) for col in stored]
         mat[j][i] = mat[j][i] + ctx.one if i in mat[j] else ctx.one
@@ -229,13 +265,12 @@ def test_z_restricted_minimal_polynomial():
     # eigenvalues are contained in the two closed-form scalars (equal on
     # walls, where the product is a square)
     from blobtensor.linalg import mat_is_zero, mat_mul, mat_sub_scalar_diag
-    from blobtensor.weightmod import weight_module
 
     for n, lam, l, m in ((4, 0, 5, 2), (4, -2, 3, 2), (5, 1, 0, 2),
                          (5, -1, 5, 3)):
         ctx = context(BlobParams(n, l, m))
         module = weight_module(n, lam, ctx)
-        zmat = central_z(n - 1, n, ctx).matrix(module.basis)
+        zmat = z_matrix(n - 1, module)
         s_minus = z_scalar_formula(WeightLabel(n - 1, lam - 1), ctx)
         s_plus = z_scalar_formula(WeightLabel(n - 1, lam + 1), ctx)
         prod = mat_mul(mat_sub_scalar_diag(zmat, s_minus),
