@@ -88,24 +88,25 @@ def verify_blob_relations(n, ctx):
                     module_blocks(n, ctx), ctx.one)
 
 
-def blob_relation_checks_matrices(um, ctx):
-    """Blob relations as matrix identities for generator matrices um[0..n-1];
-    returns (name, ok) pairs.  Reused for weight modules, duals and
-    transported representations."""
+def blob_relation_checks_matrices(um, ctx, prefix=""):
+    """Blob relations as matrix identities for generator matrices
+    um[0..n-1], one RelationCheck per relation, its name prefixed and its
+    witness the first column index on which the two sides differ.  Reused
+    for weight modules, duals and transported representations."""
     mats = {f"U{i}": u for i, u in enumerate(um)}
-    checks = evaluate(blob_relations(list(mats), ctx),
-                      [(range(len(um[0])), mats)], ctx.one)
-    return [(c.name, c.ok) for c in checks]
+    rels = blob_relations(list(mats), ctx)
+    return evaluate([r._replace(name=prefix + r.name) for r in rels],
+                    [(range(len(um[0])), mats)], ctx.one)
 
 
-def ariki_koike_checks_matrices(xm, gm, ctx):
+def ariki_koike_checks_matrices(xm, gm, ctx, prefix=""):
     """Ariki-Koike relations and the blob identity as matrix identities: gm
-    maps i -> matrix of g_i (i = 1..n-1), xm is the matrix of X.  Returns
-    (name, ok) pairs."""
+    maps i -> matrix of g_i (i = 1..n-1), xm is the matrix of X.  Checks
+    as in `blob_relation_checks_matrices`."""
     g = {f"g{i}": gm[i] for i in sorted(gm)}
-    checks = evaluate(ariki_koike_relations(list(g), ctx),
-                      [(range(len(xm)), dict(g, X=xm))], ctx.one)
-    return [(c.name, c.ok) for c in checks]
+    rels = ariki_koike_relations(list(g), ctx)
+    return evaluate([r._replace(name=prefix + r.name) for r in rels],
+                    [(range(len(xm)), dict(g, X=xm))], ctx.one)
 
 
 def verify_ideal_generators(n, ctx):

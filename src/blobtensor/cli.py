@@ -1,9 +1,11 @@
 """Command-line driver: parameter grids, verification reports, goldens.
 
-Exit codes: 0 = every check passed (or was skipped with a reason),
-1 = at least one verification failed, a request produced no result at all,
-or the report could not be written, 2 = configuration error (including an
---out path whose directory is missing, and a malformed BLOBTENSOR_MAX_N).
+A grid command is a point function and its domain in `build_parser`'s
+table; `_run` walks the grid, records skips, builds the report and routes
+failures.  Exit codes: 0 = every check passed (or was skipped with a
+reason), 1 = a verification failed, a request produced no result at all, a
+point raised (one stderr line naming it), or the report could not be
+written, 2 = configuration error, found before any point is computed.
 
 Reports are deterministic: grids iterate l ascending, then m, then n, then
 lambda; scalars serialize canonically; JSON is emitted with sorted keys.
@@ -40,21 +42,23 @@ def _parse_int_list(text):
     return [int(p) for p in text.split(",") if p != ""]
 
 
-def _lambda_values(text, n):
-    if text == "all":
+def _parse_lambda(text):
+    return text if text == "all" else int(text)
+
+
+def _lambda_values(lam, n):
+    if lam == "all":
         return weightmod.lambda_range(n)
-    lam = int(text)
-    if (lam + n) % 2 or abs(lam) > n:
-        return []
-    return [lam]
+    return [lam] if (lam + n) % 2 == 0 and abs(lam) <= n else []
 
 
-def _param_grid(args, skipped, min_n=1):
-    """Yield (params, context(params)) for the valid BlobParams of the grid
-    in the deterministic l, m, n order; append a skip record (and a stderr
-    line) for every point that fails validation, including each n below the
-    command's `min_n`.  An n above the size cap raises ParameterError when
-    its turn comes."""
+def _grid(args, skipped, min_n, weights):
+    """Yield the (params, lambda) points of the command's domain in the
+    l, m, n, lambda order (lambda None unless `weights`); append a skip
+    record, and a stderr line, for every point that fails validation or lies
+    below its least n.  An n above the size cap raises ParameterError."""
+    least, least_interior = min_n if isinstance(min_n, tuple) \
+        else (min_n, min_n)
     for l in sorted(args.l):
         for m in sorted(args.m):
             code = check_params(BlobParams(max(args.n), l, m))
@@ -66,13 +70,58 @@ def _param_grid(args, skipped, min_n=1):
                 _skip(skipped, {"l": l, "m": m}, code)
                 continue
             for n in sorted(args.n):
-                if n < min_n:
+                if n < least:
                     _skip(skipped, {"l": l, "m": m, "n": n}, "n_below_min",
-                          f"this command needs n >= {min_n}")
+                          f"this command needs n >= {least}")
                     continue
                 params = BlobParams(n, l, m)
                 check_size(n, params.backend)
-                yield params, context(params)
+                if weights is None:
+                    yield params, None
+                    continue
+                for lam in _lambda_values(getattr(args, "lam", "all"), n):
+                    if abs(lam) < n and n < least_interior:
+                        _skip(skipped, {"l": l, "m": m, "n": n,
+                                        "lambda": lam}, "n_below_min",
+                              f"an interior lambda needs n >= "
+                              f"{least_interior}")
+                    elif abs(lam) < n or weights == "all":
+                        yield params, lam
+
+
+def _run(args):
+    """The report of a grid command, its walk validated before the first
+    point runs; (None, False) after a point raised (one stderr line)."""
+    point, min_n, weights, summary = args.grid
+    results, skipped = [], []
+    ok = True
+    for params, lam in list(_grid(args, skipped, min_n, weights)):
+        try:
+            record, point_ok = point(params, context(params), lam)
+        except ParameterError:
+            raise
+        except Exception as exc:
+            where = f"l={params.l} m={params.m} n={params.n}" + \
+                ("" if lam is None else f" lambda={lam}")
+            print(f"verification error: {exc}"
+                  if isinstance(exc, ArithmeticError) else
+                  f"internal error: {args.command} at {where}: "
+                  f"{type(exc).__name__}: {exc}", file=sys.stderr)
+            return None, False
+        results.append(record)
+        ok = ok and point_ok
+    report = {"command": args.command, "results": results,
+              "skipped": skipped}
+    if summary is not None:
+        report["summary"], summary_ok = summary(results)
+        ok = ok and summary_ok
+    # a request that names parameters but yields neither a result nor a
+    # skip record checked nothing; an empty --l or --m list asks for nothing
+    if args.l and args.m and not results and not skipped:
+        print("no grid point produced a result", file=sys.stderr)
+        ok = False
+    report["ok"] = ok
+    return report, ok
 
 
 def _matrix_json(cols, basis, field):
@@ -114,10 +163,6 @@ def _emit(args, report):
         sys.stdout.write(text)
 
 
-def _checks_to_records(checks):
-    return [c.to_record() for c in checks]
-
-
 def _skip(skipped, point, reason, message=None):
     """Record a skipped point: `point` holds l and m, plus n (and lambda)
     when only that n (or that weight) is skipped."""
@@ -128,116 +173,101 @@ def _skip(skipped, point, reason, message=None):
     print(f"skip {where}: {reason}", file=sys.stderr)
 
 
+def _with_checks(record, checks):
+    ok = all(c.ok for c in checks)
+    return dict(record, checks=[c.to_record() for c in checks],
+                all_ok=ok), ok
+
+
 # ---------------------------------------------------------------------------
-# commands
+# commands: one grid point each, (params, ctx, lambda) -> (record, ok)
 # ---------------------------------------------------------------------------
 
-def cmd_verify_relations(args):
-    results, skipped = [], []
-    ok = True
-    for params, ctx in _param_grid(args, skipped, min_n=2):
-        n = params.n
-        checks = blob.verify_relation_suite(n, ctx)
-        point_ok = all(c.ok for c in checks)
-        ok = ok and point_ok
-        results.append({"n": n, "l": params.l, "m": params.m,
-                        "backend": params.backend,
-                        "checks": _checks_to_records(checks),
-                        "all_ok": point_ok})
-    return {"command": "verify-relations", "results": results,
-            "skipped": skipped, "ok": ok}, ok
+def _relations_point(params, ctx, lam):
+    return _with_checks({"n": params.n, "l": params.l, "m": params.m,
+                         "backend": params.backend},
+                        blob.verify_relation_suite(params.n, ctx))
 
 
-def cmd_adjointness(args):
-    results, skipped = [], []
-    ok = True
-    dual_records = []
-    for params, _ in _param_grid(args, skipped, min_n=3):
-        n = params.n
-        for lam in _lambda_values(args.lam, n):
-            if abs(lam) == n:
-                continue
-            primal = weightmod.adjointness_record(n, lam, params)
-            dual = specht.dual_adjointness_check(n, lam, params)
-            dual_records.append(dual)
-            point_ok = (primal["four_way_agree"]
-                        and primal["matches_expected"]
-                        and primal["spans_agree"]
-                        and primal["quotient_scalars_match"]
-                        and primal["decorated_residual_ok"]
-                        and (primal["surjective"] or primal["codim"] == 1)
-                        and dual["dual_tests_agree"])
-            ok = ok and point_ok
-            results.append({"primal": primal, "dual": dual,
-                            "all_ok": point_ok})
-    rule, tallies = specht.resolve_dual_criterion(dual_records) \
-        if dual_records else (None, {})
-    summary = {
+def _adjointness_point(params, ctx, lam):
+    primal = weightmod.adjointness_record(params.n, lam, params)
+    dual = specht.dual_adjointness_check(params.n, lam, params)
+    ok = (primal["four_way_agree"]
+          and primal["matches_expected"]
+          and primal["spans_agree"]
+          and primal["quotient_scalars_match"]
+          and primal["decorated_residual_ok"]
+          and (primal["surjective"] or primal["codim"] == 1)
+          and dual["dual_tests_agree"])
+    return {"primal": primal, "dual": dual, "all_ok": ok}, ok
+
+
+def _adjointness_summary(results):
+    """The dual sign rule over the grid; points without one rule fail."""
+    rule, tallies = specht.resolve_dual_criterion(
+        [r["dual"] for r in results]) if results else (None, {})
+    return {
         "points": len(results),
         "primal_verdict_equals_n2_neq_m": all(
             r["primal"]["matches_expected"] for r in results),
         "dual_consistent_rule": rule,
         "dual_rule_tallies": tallies,
-    }
-    if dual_records:
-        ok = ok and rule is not None
-    return {"command": "adjointness", "results": results,
-            "skipped": skipped, "summary": summary, "ok": ok}, ok
+    }, rule is not None or not results
 
 
-def cmd_localize(args):
-    results, skipped = [], []
-    ok = True
-    for params, ctx in _param_grid(args, skipped, min_n=2):
-        n = params.n
-        for lam in _lambda_values(args.lam, n):
-            if abs(lam) == n:
-                module = weightmod.weight_module(n, lam, ctx)
-                loc = weightmod.localize(module)
-                point_ok = loc.dim_e == 0
-                rec = {"n": n, "l": params.l, "m": params.m, "lambda": lam,
-                       "dim_e": loc.dim_e, "localizes_to_zero": point_ok,
-                       "ok": point_ok}
-            elif n < 3:
-                _skip(skipped, {"l": params.l, "m": params.m, "n": n,
-                                "lambda": lam}, "n_below_min",
-                      "an interior lambda needs n >= 3")
-                continue
-            else:
-                res = weightmod.underline_map(n, lam, ctx)
-                point_ok = res.ok
-                rec = dict(res.to_record(), l=params.l, m=params.m)
-            ok = ok and point_ok
-            results.append(rec)
-    return {"command": "localize", "results": results,
-            "skipped": skipped, "ok": ok}, ok
+def _localize_point(params, ctx, lam):
+    n = params.n
+    if abs(lam) == n:
+        module = weightmod.weight_module(n, lam, ctx)
+        dim_e = weightmod.localize(module).dim_e
+        return {"n": n, "l": params.l, "m": params.m, "lambda": lam,
+                "dim_e": dim_e, "localizes_to_zero": dim_e == 0,
+                "ok": dim_e == 0}, dim_e == 0
+    res = weightmod.underline_map(n, lam, ctx)
+    return dict(res.to_record(), l=params.l, m=params.m), res.ok
 
 
-def cmd_restrict(args):
-    results, skipped = [], []
-    ok = True
-    for params, ctx in _param_grid(args, skipped):
-        n = params.n
-        for lam in _lambda_values(args.lam, n):
-            rec = {"n": n, "l": params.l, "m": params.m, "lambda": lam}
-            point_ok = True
-            central = towers.verify_central_z(n, lam, ctx)
-            rec["central"] = central.to_record()
-            point_ok = point_ok and central.ok
-            if abs(lam) != n:
-                seq = towers.restriction_sequence(n, lam, ctx)
-                rec["restriction"] = seq.to_record()
-                point_ok = point_ok and seq.ok
-                if n >= 3:
-                    split = towers.splitting_check(n, lam, ctx)
-                    rec["splitting"] = split.to_record(params)
-                    if not split.wall:
-                        point_ok = point_ok and split.split is True
-            rec["ok"] = point_ok
-            ok = ok and point_ok
-            results.append(rec)
-    return {"command": "restrict", "results": results,
-            "skipped": skipped, "ok": ok}, ok
+def _restrict_point(params, ctx, lam):
+    n = params.n
+    central = towers.verify_central_z(n, lam, ctx)
+    rec = {"n": n, "l": params.l, "m": params.m, "lambda": lam,
+           "central": central.to_record()}
+    ok = central.ok
+    if abs(lam) != n:
+        seq = towers.restriction_sequence(n, lam, ctx)
+        rec["restriction"] = seq.to_record()
+        ok = ok and seq.ok
+        if n >= 3:
+            split = towers.splitting_check(n, lam, ctx)
+            rec["splitting"] = split.to_record(params)
+            if not split.wall:
+                ok = ok and split.split is True
+    rec["ok"] = ok
+    return rec, ok
+
+
+def _duality_point(params, ctx, lam):
+    n1 = (params.n + lam) // 2
+    n2 = params.n - n1
+    checks = specht.verify_phi_intertwines(n1, n2, ctx)
+    checks += specht.verify_S_prime_relations(n1, n2, ctx)
+    checks += specht.verify_gi_quadratic_on_bitableaux(
+        specht.col_shape(n1, n2), ctx)
+    checks += specht.xi_word_eigenvalue_checks(n1, n2, ctx)
+    checks += specht.xi_bitableau_eigenvalue_checks(n1, n2, ctx)
+    checks += specht.verify_dualize_properties(n1, n2, ctx)
+    return _with_checks({"n": params.n, "l": params.l, "m": params.m,
+                         "n1": n1, "n2": n2}, checks)
+
+
+def _smallcase_point(params, ctx, lam):
+    checks, computed, golden = towers.verify_smallcase_matrices(ctx)
+    return _with_checks({
+        "l": params.l, "m": params.m,
+        "computed": {k: _matrix_json(v, ["12", "21"], ctx.field)
+                     for k, v in sorted(computed.items())},
+        "golden": {k: _matrix_json(v, ["12", "21"], ctx.field)
+                   for k, v in sorted(golden.items())}}, checks)
 
 
 def cmd_triangle(args):
@@ -253,53 +283,9 @@ def cmd_triangle(args):
               "rows": {str(n): table[n] for n in range(1, n_max + 1)},
               "lambda_columns": {str(n): weightmod.lambda_range(n)
                                  for n in range(1, n_max + 1)},
-              "checks": _checks_to_records(checks),
+              "checks": [c.to_record() for c in checks],
               "ok": ok}
     return report, ok
-
-
-def cmd_duality(args):
-    results, skipped = [], []
-    ok = True
-    for params, ctx in _param_grid(args, skipped):
-        n = params.n
-        for n1 in range(0, n + 1):
-            n2 = n - n1
-            checks = specht.verify_phi_intertwines(n1, n2, ctx)
-            checks += specht.verify_S_prime_relations(n1, n2, ctx)
-            checks += specht.verify_gi_quadratic_on_bitableaux(
-                specht.col_shape(n1, n2), ctx)
-            checks += specht.xi_word_eigenvalue_checks(n1, n2, ctx)
-            checks += specht.xi_bitableau_eigenvalue_checks(n1, n2, ctx)
-            checks += specht.verify_dualize_properties(n1, n2, ctx)
-            point_ok = all(c.ok for c in checks)
-            ok = ok and point_ok
-            results.append({"n": n, "l": params.l, "m": params.m,
-                            "n1": n1, "n2": n2,
-                            "checks": _checks_to_records(checks),
-                            "all_ok": point_ok})
-    return {"command": "duality", "results": results,
-            "skipped": skipped, "ok": ok}, ok
-
-
-def cmd_smallcase(args):
-    results, skipped = [], []
-    ok = True
-    for params, ctx in _param_grid(args, skipped):
-        checks, computed, golden = towers.verify_smallcase_matrices(ctx)
-        field = ctx.field
-        point_ok = all(c.ok for c in checks)
-        ok = ok and point_ok
-        results.append({
-            "l": params.l, "m": params.m,
-            "checks": _checks_to_records(checks),
-            "computed": {k: _matrix_json(v, ["12", "21"], field)
-                         for k, v in sorted(computed.items())},
-            "golden": {k: _matrix_json(v, ["12", "21"], field)
-                       for k, v in sorted(golden.items())},
-            "all_ok": point_ok})
-    return {"command": "smallcase", "results": results,
-            "skipped": skipped, "ok": ok}, ok
 
 
 # ---------------------------------------------------------------------------
@@ -311,8 +297,8 @@ def _add_common(sub, lam=False, needs_n=True):
         sub.add_argument("--n", type=_parse_range, default=[4],
                          help="n or range like 2..6")
     if lam:
-        sub.add_argument("--lambda", dest="lam", default="all",
-                         help="a single weight or 'all'")
+        sub.add_argument("--lambda", dest="lam", type=_parse_lambda,
+                         default="all", help="a single weight or 'all'")
     sub.add_argument("--l", type=_parse_int_list, default=[0],
                      help="comma list of l values (0 = generic)")
     sub.add_argument("--m", type=_parse_int_list, default=[2],
@@ -349,16 +335,20 @@ def build_parser():
                     "representation of the type-B Hecke algebra and its "
                     "blob-algebra quotient.")
     subs = parser.add_subparsers(dest="command", required=True)
-    for name, fn, lam in (
-            ("verify-relations", cmd_verify_relations, False),
-            ("adjointness", cmd_adjointness, True),
-            ("localize", cmd_localize, True),
-            ("restrict", cmd_restrict, True),
-            ("duality", cmd_duality, False),
-            ("smallcase", cmd_smallcase, False)):
+    # name, point, least n or (least n, least n of an interior weight),
+    # weights walked, summary; duality walks all of Lambda_n, no --lambda
+    for name, point, min_n, weights, summary in (
+            ("verify-relations", _relations_point, 2, None, None),
+            ("adjointness", _adjointness_point, 3, "interior",
+             _adjointness_summary),
+            ("localize", _localize_point, (2, 3), "all", None),
+            ("restrict", _restrict_point, 1, "all", None),
+            ("duality", _duality_point, 1, "all", None),
+            ("smallcase", _smallcase_point, 1, None, None)):
         sub = subs.add_parser(name)
-        _add_common(sub, lam=lam, needs_n=name != "smallcase")
-        sub.set_defaults(fn=fn)
+        _add_common(sub, lam=weights is not None and name != "duality",
+                    needs_n=name != "smallcase")
+        sub.set_defaults(fn=_run, grid=(point, min_n, weights, summary))
     # the goldens live on M_2(0): smallcase runs its grid at n = 2 only
     subs.choices["smallcase"].set_defaults(n=[2])
     tri = subs.add_parser("triangle")
@@ -387,18 +377,8 @@ def main(argv=None):
     except ParameterError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
-    except ArithmeticError as exc:
-        print(f"verification error: {exc}", file=sys.stderr)
+    if report is None:
         return 1
-    except (ValueError, OSError) as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return 2
-    # a request that names parameters but yields neither a result nor a
-    # skip record checked nothing; an empty --l or --m list asks for nothing
-    if isinstance(report, dict) and "results" in report and args.l \
-            and args.m and not report["results"] and not report["skipped"]:
-        print("no grid point produced a result", file=sys.stderr)
-        report["ok"] = ok = False
     try:
         _emit(args, report)
     except OSError as exc:

@@ -785,10 +785,6 @@ class BlobParams:
     def backend(self):
         return "generic" if self.l == 0 else "cyclotomic"
 
-    def field(self):
-        validate_params(self)
-        return GENERIC if self.l == 0 else cyclotomic_field(self.l)
-
 
 def check_params(params):
     """Return an error code for an invalid parameter set, or None."""

@@ -196,12 +196,8 @@ def verify_S_prime_relations(n1, n2, ctx):
     """The transported module satisfies the full defining relation set and
     the quotient identity; its blob form satisfies the blob relations."""
     rep = build_S_prime(n1, n2, ctx)
-    checks = [RelationCheck(f"S':{name}", ok)
-              for name, ok in ariki_koike_checks_matrices(rep.x, rep.g, ctx)]
-    checks += [RelationCheck(f"S'_blob:{name}", ok)
-               for name, ok in
-               blob_relation_checks_matrices(rep.U, ctx)]
-    return checks
+    return ariki_koike_checks_matrices(rep.x, rep.g, ctx, "S':") + \
+        blob_relation_checks_matrices(rep.U, ctx, "S'_blob:")
 
 
 def verify_gi_quadratic_on_bitableaux(shape, ctx):
@@ -262,11 +258,8 @@ def verify_dualize_properties(n1, n2, ctx):
     checks = [RelationCheck("dualize_involution",
                             mat_eq(back.x, rep.x) and all(
                                 mat_eq(back.g[i], rep.g[i]) for i in rep.g))]
-    checks += [RelationCheck(f"dual:{name}", ok)
-               for name, ok in ariki_koike_checks_matrices(dual.x, dual.g,
-                                                           ctx)]
-    checks += [RelationCheck(f"dual_blob:{name}", ok)
-               for name, ok in blob_relation_checks_matrices(dual.U, ctx)]
+    checks += ariki_koike_checks_matrices(dual.x, dual.g, ctx, "dual:")
+    checks += blob_relation_checks_matrices(dual.U, ctx, "dual_blob:")
     for lam_val, tag in ((ctx.lam1, "lam1"), (ctx.lam2, "lam2")):
         r1 = span_rank(mat_sub_scalar_diag(rep.x, lam_val))
         r2 = span_rank(mat_sub_scalar_diag(dual.x, lam_val))

@@ -564,10 +564,6 @@ def verify_module_blob_relations(n, lam, ctx):
     again on those of its dual, the transposes (the defining relations are
     *-symmetric)."""
     module = weight_module(n, lam, ctx)
-    checks = [RelationCheck(f"module:{name}", ok)
-              for name, ok in blob_relation_checks_matrices(module.U,
-                                                            module.ctx)]
-    checks += [RelationCheck(f"transposed:{name}", ok)
-               for name, ok in
-               blob_relation_checks_matrices(dualize(module).U, module.ctx)]
-    return checks
+    return blob_relation_checks_matrices(module.U, module.ctx, "module:") + \
+        blob_relation_checks_matrices(dualize(module).U, module.ctx,
+                                      "transposed:")

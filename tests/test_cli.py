@@ -330,10 +330,10 @@ def test_out_in_missing_directory_fails_before_computing(monkeypatch,
                                                           tmp_path, capsys):
     import blobtensor.cli as cli
 
-    def never(args):
-        raise AssertionError("the grid ran before --out was checked")
+    def never(*point):
+        raise AssertionError("a point ran before --out was checked")
 
-    monkeypatch.setattr(cli, "cmd_restrict", never)
+    monkeypatch.setattr(cli, "_restrict_point", never)
     out = tmp_path / "missing" / "x.json"
     rc = main(["restrict", "--n", "3", "--lambda", "all", "--l", "3",
                "--m", "2", "--out", str(out)])
@@ -376,6 +376,60 @@ def test_report_write_failure_is_one_line(monkeypatch, tmp_path, capsys):
     assert rc == 1
     err = capsys.readouterr().err
     assert err.startswith("cannot write the report: ") and err.count("\n") == 1
+
+
+def test_internal_error_is_one_line_naming_the_point(monkeypatch, tmp_path,
+                                                     capsys):
+    # an internal guard hit by a bug is no configuration error: exit 1, one
+    # stderr line with the command and the point, no traceback, no report
+    from blobtensor import towers
+
+    def guard(n, lam, ctx):
+        raise ValueError("internal guard")
+
+    monkeypatch.setattr(towers, "restriction_sequence", guard)
+    out = tmp_path / "x.json"
+    rc = main(["restrict", "--n", "3", "--l", "5", "--m", "2",
+               "--out", str(out)])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert err.startswith("internal error: restrict at l=5 m=2 n=3 ")
+    assert err.endswith("ValueError: internal guard\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("value", ["abc", "1.5"])
+def test_malformed_lambda_fails_before_computing(value, monkeypatch, capsys):
+    import blobtensor.cli as cli
+
+    def never(*point):
+        raise AssertionError("a point ran with a malformed --lambda")
+
+    monkeypatch.setattr(cli, "_restrict_point", never)
+    rc = main(["restrict", "--n", "3", "--lambda", value, "--l", "5",
+               "--m", "2"])
+    captured = capsys.readouterr()
+    assert rc == 2 and captured.out == ""
+    assert captured.err.endswith(
+        f"error: argument --lambda: invalid _parse_lambda value: "
+        f"{value!r}\n")
+
+
+def test_size_cap_is_checked_before_the_first_point(monkeypatch, capsys):
+    # n = 3 and 4 are within the cap, n = 5 is not: nothing is computed
+    import blobtensor.cli as cli
+
+    def never(*point):
+        raise AssertionError("a point ran before the size cap was checked")
+
+    monkeypatch.setattr(cli, "_adjointness_point", never)
+    monkeypatch.setenv("BLOBTENSOR_MAX_N", "4")
+    rc = main(["adjointness", "--n", "3..5", "--l", "5", "--m", "2"])
+    captured = capsys.readouterr()
+    assert rc == 2 and captured.out == ""
+    assert captured.err == ("configuration error: n=5 exceeds the cyclotomic "
+                            "cap 4 (set BLOBTENSOR_MAX_N to override)\n")
 
 
 def test_determinism_byte_identical(tmp_path):
@@ -506,3 +560,46 @@ def test_reports_match_benchmark_digests(tmp_path):
             data = out.read_bytes()
             assert len(json.loads(data)["results"]) == pin["points"], argv
             assert hashlib.sha256(data).hexdigest() == pin["sha256"], argv
+
+
+# sha256 of stdout, the stderr text and the exit code of every command, run
+# in process without --out; pinned before the grid runner was introduced
+COMMAND_PINS = [
+    ("verify-relations --n 1..3 --l 0,4,5 --m 2", 0,
+     "fa81efbdcbe222c661a4a2f17c413739a3fe731c07ff4dd126e12fc66783c31d",
+     "skip l=0 m=2 n=1: n_below_min\nskip l=4 m=2: l_not_odd\n"
+     "skip l=5 m=2 n=1: n_below_min\n"),
+    ("adjointness --n 2..4 --l 5 --m 2,5", 0,
+     "3bda2c6500cfff111884770b3e11e31b59a200654416dcaf4a22afd618388ce4",
+     "skip l=5 m=2 n=2: n_below_min\nskip l=5 m=5: lambda1_eq_lambda2\n"),
+    ("localize --n 1..4 --l 0,5 --m 2", 0,
+     "a2de22da50faa9ddfc21debb9518b9ebbec4b14a3ec216c0f1a721660f291674",
+     "skip l=0 m=2 n=1: n_below_min\nskip l=0 m=2 n=2 lambda=0: n_below_min\n"
+     "skip l=5 m=2 n=1: n_below_min\nskip l=5 m=2 n=2 lambda=0: n_below_min\n"),
+    ("restrict --n 1..4 --l 5 --m 2,14", 0,
+     "753d7893f1a90c850498ab43bc5bbe4a1847ce0f847d8ac659482dddaab60bb9", ""),
+    ("restrict --n 4 --lambda 0 --l 0 --m 2", 0,
+     "672089dac64e28d06ea4691b0da6d877bb74e9ca6ec40af36edb95a7f7161e6d", ""),
+    ("restrict --n 4 --lambda 3 --l 5 --m 2", 1,
+     "60575cf77d0fbbfd78b4464c767d7d02b740566c4422004a73be8777e20cda62",
+     "no grid point produced a result\n"),
+    ("duality --n 1..3 --l 0,5 --m 2", 0,
+     "e4d0f566605e9c37b6c747791dcfe4f0d1d89fe94d0dad06cac2dfdaa0ee1ef7", ""),
+    ("smallcase --l 0,5 --m 2,3 --backend generic", 0,
+     "4263a448818c22e1e795037dd30bb9c4e48e63422ad1c80640d5372d50bf3493",
+     "skip l=5 m=2: backend_mismatch:cyclotomic\n"
+     "skip l=5 m=3: backend_mismatch:cyclotomic\n"),
+    ("triangle --n 6", 0,
+     "145bfbf2753a1e83144b0cdc339e62eb67ef015057de93cd75b59563b961ca7f", ""),
+    ("triangle --n 6 --format json", 0,
+     "c61342171743bc23174b3750c41fa65cac9b63cf7327320e09c2f28311cb3b48", ""),
+]
+
+
+@pytest.mark.parametrize("argv,rc,sha,err", COMMAND_PINS,
+                         ids=[pin[0] for pin in COMMAND_PINS])
+def test_command_bytes_pinned(argv, rc, sha, err, capsys):
+    assert main(argv.split()) == rc
+    captured = capsys.readouterr()
+    assert hashlib.sha256(captured.out.encode()).hexdigest() == sha
+    assert captured.err == err

@@ -123,11 +123,14 @@ def test_perturbed_S_prime_X_fails_quadratic(monkeypatch):
         return specht.MatrixRep(rep.labels, x, rep.g, ctx)
 
     monkeypatch.setattr(specht, "build_S_prime", perturbed)
-    checks = {c.name: c.ok
+    checks = {c.name: c
               for c in specht.verify_S_prime_relations(2, 2, ctx)}
-    assert not checks["S':quadratic(X)"]
+    assert not checks["S':quadratic(X)"].ok
+    # the failure keeps its witness, the column of the perturbed entry
+    assert checks["S':quadratic(X)"].first_failure == 3
+    assert checks["S':quadratic(X)"].to_record()["first_failure"] == 3
     braids = [name for name in checks if name.startswith("S':braid(g")]
-    assert braids and all(checks[name] for name in braids)
+    assert braids and all(checks[name].ok for name in braids)
 
 
 def test_operator_leaving_its_weight_is_an_arithmetic_error():

@@ -114,7 +114,7 @@ def test_localized_generator_matrices_satisfy_blob_relations():
     loc = localize(weight_module(5, 1, C3))
     assert loc.dim_e == comb(3, 1)
     checks = blob_relation_checks_matrices(loc.gens, C3)
-    assert all(ok for _, ok in checks)
+    assert all(c.ok for c in checks)
 
 
 def test_underline_map_explicit_image():
