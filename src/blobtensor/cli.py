@@ -103,7 +103,7 @@ def _run(args):
         except Exception as exc:
             where = f"l={params.l} m={params.m} n={params.n}" + \
                 ("" if lam is None else f" lambda={lam}")
-            print(f"verification error: {exc}"
+            print(f"verification error: {exc} ({args.command} at {where})"
                   if isinstance(exc, ArithmeticError) else
                   f"internal error: {args.command} at {where}: "
                   f"{type(exc).__name__}: {exc}", file=sys.stderr)

@@ -5,10 +5,9 @@ column dicts (column j maps row index -> scalar).  Everything is elimination
 based and division-exact; there are no tolerances anywhere.
 
 Ranks may also be read over F_p, through a field's `ModularMap`, on vectors
-of residues: a rank mod p is only a lower bound, so `certified_span_rank`
-and `certified_closure_rank` accept it only with an exact annihilator
-certificate and otherwise return None, leaving the exact elimination to
-decide.
+of residues: a rank mod p is only a lower bound, so `certified_rank`
+accepts it only with an exact annihilator certificate and otherwise returns
+None, leaving the exact elimination to decide.
 """
 
 from __future__ import annotations
@@ -230,23 +229,34 @@ def nullspace(cols, one):
     return basis
 
 
+def _closure(span, seeds, matrices, apply, stop=None):
+    """Grow `span` (anything with `insert(vec, tag)` and `rank`) to the
+    smallest subspace holding the seeds and invariant under every matrix,
+    applied as `apply(matrix, vec)`: the seeds in order, then each matrix
+    over each frontier vector, until the rank reaches `stop`.  Each accepted
+    vector is tagged with its origin: (None, k) for seed k, (i, a) for
+    matrix i applied to accepted vector a."""
+    frontier = []
+    for k, v in enumerate(seeds):
+        if span.insert(v, (None, k)):
+            frontier.append((span.rank - 1, v))
+    while frontier and span.rank != stop:
+        new_frontier = []
+        for i, m in enumerate(matrices):
+            for a, v in frontier:
+                w = apply(m, v)
+                if span.insert(w, (i, a)):
+                    if span.rank == stop:
+                        return span
+                    new_frontier.append((span.rank - 1, w))
+        frontier = new_frontier
+    return span
+
+
 def invariant_closure(seed_vectors, matrices):
     """Span of the smallest subspace containing the seeds and invariant under
     every matrix; returns the SpanSolver holding it."""
-    span = SpanSolver()
-    frontier = []
-    for v in seed_vectors:
-        if span.insert(v):
-            frontier.append(v)
-    while frontier:
-        new_frontier = []
-        for m in matrices:
-            for v in frontier:
-                w = mat_vec(m, v)
-                if span.insert(w):
-                    new_frontier.append(w)
-        frontier = new_frontier
-    return span
+    return _closure(SpanSolver(), seed_vectors, matrices, mat_vec)
 
 
 # ---------------------------------------------------------------------------
@@ -335,91 +345,50 @@ def left_kernel(vectors, dim, one):
     return nullspace(mat_transpose(vectors, dim), one)
 
 
-def mod_invariant_closure(seed_vectors, matrices, p, stop=None):
-    """invariant_closure over F_p, on residue vectors and matrices, ended
-    early once its rank reaches `stop`.  The returned ModSpan tags each
-    accepted vector with its origin: (None, k) for seed k, (i, a) for
-    matrix i applied to accepted vector a."""
-    span = ModSpan(p)
-    frontier = []
-    for k, v in enumerate(seed_vectors):
-        if span.insert(v, (None, k)):
-            frontier.append((span.rank - 1, v))
-    while frontier and span.rank != stop:
-        new_frontier = []
-        for i, m in enumerate(matrices):
-            for a, v in frontier:
-                w = _mat_vec_mod(m, v, p)
-                if span.insert(w, (i, a)):
-                    if span.rank == stop:
-                        return span
-                    new_frontier.append((span.rank - 1, w))
-        frontier = new_frontier
-    return span
-
-
-def certified_span_rank(vectors, dim, modular, one):
-    """Exact rank of vectors in a dim-dimensional space, read mod p through
-    `modular`, with the left kernel Y that certifies it: (rank, Y), or None.
-
-    Full rank mod p proves full rank.  Below it, Y is the exact left kernel
-    of the vectors accepted mod p, so the family has rank at least
-    dim - |Y|; Y annihilating every vector puts the family in Y^perp, of
-    dimension dim - |Y|."""
-    span = ModSpan(modular.p)
-    try:
-        for k, v in enumerate(vectors):
-            span.insert(modular.vec(v), k)
-    except ZeroDivisionError:
-        return None
-    if span.rank == dim:
-        return dim, []
-    ys = left_kernel([vectors[k] for k in span.tags], dim, one)
-    if _annihilates(ys, vectors):
-        return dim - len(ys), ys
-    return None
-
-
-def certified_closure_rank(seed_vectors, matrices, modular, one, ys=None):
-    """Exact rank of invariant_closure(seed_vectors, matrices), read mod p
-    through `modular`, or None.
+def certified_rank(seed_vectors, matrices, dim, modular, one, ys=None):
+    """Exact rank of invariant_closure(seed_vectors, matrices) in a
+    dim-dimensional space, read mod p through `modular`, with the left
+    kernel Y that certifies it: (rank, Y), or None.  With no matrices the
+    closure is the span of the seeds.
 
     The closure mod p is spanned by residues of vectors of the exact
-    closure, so the rank r of any part of it is a lower bound.  If Y
-    annihilates every seed and y.M lies in span(Y) for every y in Y and
-    every matrix M, then Y^perp is an invariant subspace holding the seeds,
-    so it holds the closure, and r = dim - |Y| proves the rank; the closure
-    mod p stops there.  Y defaults to the exact left kernel of the closure
-    vectors accepted mod p, recomputed from their origins."""
-    dim = len(matrices[0])
+    closure, so the rank r of any part of it is a lower bound, and r = dim
+    proves full rank.  Below it, if Y annihilates every seed and y.M lies in
+    span(Y) for every y in Y and every matrix M, then Y^perp is an invariant
+    subspace of dimension dim - |Y| holding the seeds, so it holds the
+    closure, and r = dim - |Y| proves the rank; the closure mod p stops
+    there.  Y defaults to the exact left kernel of the vectors accepted mod
+    p, rebuilt from their origins."""
+    p = modular.p
     try:
-        span = mod_invariant_closure(
-            [modular.vec(v) for v in seed_vectors],
-            [modular.mat(m) for m in matrices], modular.p,
-            dim if ys is None else dim - len(ys))
+        span = _closure(ModSpan(p), [modular.vec(v) for v in seed_vectors],
+                        [modular.mat(m) for m in matrices],
+                        lambda m, v: _mat_vec_mod(m, v, p),
+                        dim if ys is None else dim - len(ys))
     except ZeroDivisionError:
         return None
     r = span.rank
     if r == dim:
-        return r
+        return r, []
     if ys is None:
         accepted = []
         for i, a in span.tags:
-            accepted.append(dict(seed_vectors[a]) if i is None
+            accepted.append(seed_vectors[a] if i is None
                             else mat_vec(matrices[i], accepted[a]))
         ys = left_kernel(accepted, dim, one)
     if r != dim - len(ys) or not _annihilates(ys, seed_vectors):
         return None
-    kernel = SpanSolver()
-    for y in ys:
-        kernel.insert(y)
-    for m in matrices:
+    if matrices:
+        kernel = SpanSolver()
         for y in ys:
-            row = {}
-            for j, col in enumerate(m):
-                d = _dot(y, col)
-                if d is not None and not d.is_zero():
-                    row[j] = d
-            if not kernel.contains(row):
-                return None
-    return r
+            kernel.insert(y)
+        for m in matrices:
+            for y in ys:
+                row = {}
+                for j, col in enumerate(m):
+                    d = _dot(y, col)
+                    if d is not None and not d.is_zero():
+                        row[j] = d
+                if not kernel.contains(row):
+                    return None
+    return r, ys

@@ -188,6 +188,52 @@ class ModularMap:
 
 
 # ---------------------------------------------------------------------------
+# operators stated once for both backends; each scalar class binds them in
+# its own body, so every operator stays a name in the class's __dict__
+# ---------------------------------------------------------------------------
+
+def _sub(self, other):
+    o = self._coerce(other)
+    if o is None:
+        return NotImplemented
+    return self + (-o)
+
+
+def _rsub(self, other):
+    return (-self) + other
+
+
+def _truediv(self, other):
+    o = self._coerce(other)
+    if o is None:
+        return NotImplemented
+    return self * o.inv()
+
+
+def _rtruediv(self, other):
+    o = self._coerce(other)
+    if o is None:
+        return NotImplemented
+    return o * self.inv()
+
+
+def _pow(self, e):
+    if not isinstance(e, int):
+        return NotImplemented
+    if e < 0:
+        return self.inv() ** (-e)
+    out = self._coerce(1)
+    base = self
+    while e:
+        if e & 1:
+            out = out * base
+        e >>= 1
+        if e:
+            base = base * base
+    return out
+
+
+# ---------------------------------------------------------------------------
 # generic backend: q^shift * num(q) / den(q)
 # ---------------------------------------------------------------------------
 
@@ -323,14 +369,8 @@ class GenericScalar:
     def __neg__(self):
         return GenericScalar(self.shift, _pneg(self.num), self.den)
 
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
-
-    def __rsub__(self, other):
-        return (-self) + other
+    __sub__ = _sub
+    __rsub__ = _rsub
 
     def __mul__(self, other):
         o = self._coerce(other)
@@ -364,32 +404,9 @@ class GenericScalar:
             num, den = _pneg(num), _pneg(den)
         return GenericScalar(-self.shift, num, den)
 
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self * o.inv()
-
-    def __rtruediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o * self.inv()
-
-    def __pow__(self, e):
-        if not isinstance(e, int):
-            return NotImplemented
-        if e < 0:
-            return self.inv() ** (-e)
-        out = GENERIC.one
-        base = self
-        while e:
-            if e & 1:
-                out = out * base
-            e >>= 1
-            if e:
-                base = base * base
-        return out
+    __truediv__ = _truediv
+    __rtruediv__ = _rtruediv
+    __pow__ = _pow
 
     def residue(self, p, t):
         """Image mod p under q -> t."""
@@ -525,14 +542,8 @@ class CycScalar:
     def __neg__(self):
         return CycScalar(self.field, tuple(-x for x in self.num), self.den)
 
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
-
-    def __rsub__(self, other):
-        return (-self) + other
+    __sub__ = _sub
+    __rsub__ = _rsub
 
     def __mul__(self, other):
         o = self._coerce(other)
@@ -576,32 +587,9 @@ class CycScalar:
                 f"Galois norm of {self!r} is not a rational constant")
         return f._make([x * self.den for x in conj.num], norm.num[0])
 
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self * o.inv()
-
-    def __rtruediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o * self.inv()
-
-    def __pow__(self, e):
-        if not isinstance(e, int):
-            return NotImplemented
-        if e < 0:
-            return self.inv() ** (-e)
-        out = self.field.one
-        base = self
-        while e:
-            if e & 1:
-                out = out * base
-            e >>= 1
-            if e:
-                base = base * base
-        return out
+    __truediv__ = _truediv
+    __rtruediv__ = _rtruediv
+    __pow__ = _pow
 
     def residue(self, p, t):
         """Image mod p under q -> t, t a root of Phi_l mod p."""

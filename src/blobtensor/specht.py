@@ -27,11 +27,11 @@ from functools import lru_cache
 
 from .blob import (MatrixRep, ariki_koike_checks_matrices,
                    blob_relation_checks_matrices, dualize)
-from .linalg import (certified_closure_rank, invariant_closure, mat_eq,
+from .linalg import (certified_rank, invariant_closure, mat_eq,
                      mat_sub_scalar_diag, mat_vec, span_rank, vec_add_scaled,
                      vec_eq)
 from .scalars import context, residues_equal
-from .tensor import RelationCheck, ops_Xk_ctx
+from .tensor import Relation, RelationCheck, evaluate, ops_Xk_ctx, word
 from .weightmod import (WeightLabel, _adjointness_injective,
                         _adjointness_surjective, _e_matrix,
                         special_element_scalar, weight_module)
@@ -180,13 +180,17 @@ def build_S_prime(n1, n2, ctx):
 
 def verify_phi_intertwines(n1, n2, ctx):
     """phi o g_i = g_i o phi for every i: with the aligned basis order this
-    is matrix equality between the bitableau action and the word action."""
+    is matrix equality between the bitableau action and the word action,
+    its witness the first column index on which they differ."""
     n = n1 + n2
     rep = build_S_prime(n1, n2, ctx)
     module = weight_module(n, n1 - n2, ctx)
-    checks = [RelationCheck(f"phi_intertwines(g{i})",
-                            mat_eq(rep.g[i], module.g[i]))
-              for i in range(1, n)]
+    mats = {}
+    for i in range(1, n):
+        mats[f"S'g{i}"], mats[f"g{i}"] = rep.g[i], module.g[i]
+    checks = evaluate([Relation(f"phi_intertwines(g{i})", word(f"S'g{i}"),
+                                word(f"g{i}")) for i in range(1, n)],
+                      [(range(module.dim), mats)], ctx.one)
     count = len(standard_bitableaux(col_shape(n1, n2)))
     checks.append(RelationCheck("phi_bijective", count == module.dim))
     return checks
@@ -289,10 +293,10 @@ def dual_adjointness_check(n, lam, params):
     dual_u = dualize(module).U
     e_dual = _e_matrix(dual_u, ctx)
     seeds = [c for c in e_dual if c]
-    closure_rank = certified_closure_rank(seeds, dual_u, ctx.field.modular,
-                                          ctx.one)
-    if closure_rank is None:
-        closure_rank = invariant_closure(seeds, dual_u).rank
+    found = certified_rank(seeds, dual_u, module.dim, ctx.field.modular,
+                           ctx.one)
+    closure_rank = found[0] if found is not None \
+        else invariant_closure(seeds, dual_u).rank
     direct_surjective = closure_rank == module.dim
 
     sctx = ctx.swapped()

@@ -28,10 +28,9 @@ from functools import lru_cache
 from math import comb
 
 from .blob import MatrixRep, blob_relation_checks_matrices, dualize
-from .linalg import (SpanSolver, certified_closure_rank,
-                     certified_span_rank, invariant_closure, mat_eq, mat_mul,
-                     mat_scale, mat_vec, span_rank, vec_add_scaled, vec_eq,
-                     vec_scale, vec_sub)
+from .linalg import (SpanSolver, certified_rank, invariant_closure, mat_eq,
+                     mat_mul, mat_scale, mat_vec, span_rank, vec_add_scaled,
+                     vec_eq, vec_scale, vec_sub)
 from .scalars import context, residues_equal
 from .tensor import (RelationCheck, all_words, op_T_ctx, op_X_ctx,
                      weight_words)
@@ -354,13 +353,11 @@ def _modular_surjective(module, family, seeds):
     certified exactly, or None.  The family's annihilator Y also certifies
     the closure: Y^perp is then both the family span and the closure."""
     modular, one = module.ctx.field.modular, module.ctx.one
-    found = certified_span_rank(family, module.dim, modular, one)
-    if found is None:
+    found = certified_rank(family, [], module.dim, modular, one)
+    if found is None or certified_rank(seeds, module.U, module.dim, modular,
+                                       one, found[1]) != found:
         return None
-    rank, ys = found
-    if certified_closure_rank(seeds, module.U, modular, one, ys) != rank:
-        return None
-    return rank, rank, True
+    return found[0], found[0], True
 
 
 def _exact_surjective(module, family, seeds):
@@ -435,12 +432,8 @@ class InjectivityResult:
     decorated_residual_ok: bool
 
     @property
-    def independent(self):
-        return self.rank == self.family_size
-
-    @property
     def injective(self):
-        return self.independent
+        return self.rank == self.family_size
 
 
 def _adjointness_injective(n, lam, ctx):

@@ -502,6 +502,7 @@ def test_operator_leaving_its_block_is_a_verification_error(monkeypatch,
     err = capsys.readouterr().err
     assert rc == 1
     assert err.startswith("verification error: T3 leaves the basis span")
+    assert err.endswith(" (verify-relations at l=0 m=2 n=3)\n")
     assert "Traceback" not in err
 
 

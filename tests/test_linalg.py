@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from blobtensor.linalg import (SpanSolver, invariant_closure, mat_eq,
-                               mat_identity, mat_mul, mat_transpose,
+from blobtensor.linalg import (SpanSolver, certified_rank, invariant_closure,
+                               mat_eq, mat_identity, mat_mul, mat_transpose,
                                mat_vec, nullspace, span_rank, vec_eq,
                                vec_sub)
 from blobtensor.scalars import GENERIC, cyclotomic_field
@@ -137,6 +137,24 @@ def test_invariant_closure_cyclic():
     assert span.rank == 1
     span = invariant_closure([{2: F.one}], [block])
     assert span.rank == 2
+
+
+def test_full_rank_mod_p_is_certified_without_a_kernel(monkeypatch):
+    # full rank mod p proves full rank: no exact left kernel is computed,
+    # and a caller's Y cannot turn the proof down
+    F = cyclotomic_field(5)
+    one = F.one
+    swap = [{1: one}, {0: one}]
+
+    def refuse(*args):
+        raise AssertionError("exact left kernel at full rank")
+
+    monkeypatch.setattr("blobtensor.linalg.left_kernel", refuse)
+    plane = [{0: one}, {1: one}]
+    assert certified_rank(plane, [], 2, F.modular, one) == (2, [])
+    assert certified_rank([{0: one}], [swap], 2, F.modular, one) == (2, [])
+    assert certified_rank(plane, [swap], 2, F.modular, one,
+                          [{0: one}]) == (2, [])
 
 
 def test_nullspace_inverts_once_per_pivot(monkeypatch):

@@ -13,8 +13,7 @@ from hypothesis import strategies as st
 
 from blobtensor import specht, weightmod
 from blobtensor.cli import main
-from blobtensor.linalg import (ModSpan, certified_closure_rank,
-                               certified_span_rank, invariant_closure,
+from blobtensor.linalg import (ModSpan, certified_rank, invariant_closure,
                                left_kernel, span_rank)
 from blobtensor.scalars import (GENERIC, BlobParams, ModularMap, context,
                                 cyclotomic_field)
@@ -87,8 +86,8 @@ def test_vanishing_denominator_raises():
     modular = field.modular_map(11)
     with pytest.raises(ZeroDivisionError):
         modular.image(field.one / field.from_int(11))
-    assert certified_span_rank([{0: field.one / field.from_int(11)}], 1,
-                               modular, field.one) is None
+    assert certified_rank([{0: field.one / field.from_int(11)}], [], 1,
+                          modular, field.one) is None
     with pytest.raises(ValueError):
         field.modular_map(13)
     # q -> 1 kills the denominator q^2 - 1 of lambda1
@@ -147,7 +146,7 @@ def test_certified_rank_equals_exact_rank(field, raw):
     for v in family:
         mod.insert(field.modular.vec(v))
     assert mod.rank <= exact
-    found = certified_span_rank(family, 5, field.modular, field.one)
+    found = certified_rank(family, [], 5, field.modular, field.one)
     assert found is not None and found[0] == exact
     assert len(found[1]) == 5 - exact
 
@@ -162,8 +161,8 @@ def test_certified_closure_rank_equals_exact_rank(field, raw, gens):
         cols = _family(field, cols)
         matrices.append((cols + [{}] * 5)[:5])
     exact = invariant_closure(seeds, matrices).rank
-    assert certified_closure_rank(seeds, matrices, field.modular,
-                                  field.one) == exact
+    assert certified_rank(seeds, matrices, 5, field.modular,
+                          field.one)[0] == exact
 
 
 def test_small_prime_rank_is_only_a_lower_bound():
@@ -176,8 +175,8 @@ def test_small_prime_rank_is_only_a_lower_bound():
         mod.insert(eleven.vec(v))
     assert mod.rank == 1 and span_rank(family) == 2
     # the kernel of the one accepted vector misses the other
-    assert certified_span_rank(family, 2, eleven, field.one) is None
-    assert certified_span_rank(family, 2, field.modular, field.one) == (2, [])
+    assert certified_rank(family, [], 2, eleven, field.one) is None
+    assert certified_rank(family, [], 2, field.modular, field.one) == (2, [])
 
 
 # ---------------------------------------------------------------------------
@@ -196,12 +195,12 @@ def _codim_one_point():
 
 def test_codim_one_point_is_certified():
     module, family, seeds = _codim_one_point()
-    found = certified_span_rank(family, module.dim, C5.field.modular, C5.one)
+    found = certified_rank(family, [], module.dim, C5.field.modular, C5.one)
     assert found is not None
     rank, ys = found
     assert rank == module.dim - 1 == span_rank(family) and len(ys) == 1
-    assert certified_closure_rank(seeds, module.U, C5.field.modular, C5.one,
-                                  ys) == rank
+    assert certified_rank(seeds, module.U, module.dim, C5.field.modular,
+                          C5.one, ys) == (rank, ys)
 
 
 def test_forged_annihilator_is_rejected(monkeypatch):
@@ -213,8 +212,8 @@ def test_forged_annihilator_is_rejected(monkeypatch):
     forged[i] = forged.get(i, C5.zero) + C5.one
     monkeypatch.setattr("blobtensor.linalg.left_kernel",
                         lambda vectors, dim, one: [forged])
-    assert certified_span_rank(family, module.dim, C5.field.modular,
-                               C5.one) is None
+    assert certified_rank(family, [], module.dim, C5.field.modular,
+                          C5.one) is None
 
 
 def test_forged_closure_annihilator_is_rejected():
@@ -224,8 +223,8 @@ def test_forged_closure_annihilator_is_rejected():
     outside = set(range(module.dim)) - {i for s in seeds for i in s}
     forged = dict(y)
     forged[min(outside)] = forged.get(min(outside), C5.zero) + C5.one
-    assert certified_closure_rank(seeds, module.U, C5.field.modular, C5.one,
-                                  [forged]) is None
+    assert certified_rank(seeds, module.U, module.dim, C5.field.modular,
+                          C5.one, [forged]) is None
 
 
 def test_closure_certificate_needs_every_seed_and_the_dimension():
@@ -233,14 +232,14 @@ def test_closure_certificate_needs_every_seed_and_the_dimension():
     one = field.one
     identity = [{0: one}, {1: one}]
     # the closure of e_0 under the identity is span(e_0), of rank 1
-    assert certified_closure_rank([{0: one}], [identity], field.modular,
-                                  one) == 1
+    assert certified_rank([{0: one}], [identity], 2, field.modular,
+                          one)[0] == 1
     # y = e_0 is invariant but does not kill the seed
-    assert certified_closure_rank([{0: one}], [identity], field.modular,
-                                  one, [{0: one}]) is None
+    assert certified_rank([{0: one}], [identity], 2, field.modular,
+                          one, [{0: one}]) is None
     # no annihilator at all proves nothing below full rank
-    assert certified_closure_rank([{0: one}], [identity], field.modular,
-                                  one, []) is None
+    assert certified_rank([{0: one}], [identity], 2, field.modular,
+                          one, []) is None
 
 
 def test_vanishing_denominator_falls_back(monkeypatch):
@@ -265,8 +264,8 @@ def test_vanishing_denominator_falls_back(monkeypatch):
 def test_perturbation_invisible_mod_p_changes_the_rank(monkeypatch):
     module, family, seeds = _codim_one_point()
     p = C5.field.modular.p
-    _, (y,) = certified_span_rank(family, module.dim, C5.field.modular,
-                                  C5.one)
+    _, (y,) = certified_rank(family, [], module.dim, C5.field.modular,
+                             C5.one)
     # add p e_i to the first I2 vector, with y_i != 0: the residues stay
     # the same, the exact vector leaves y's kernel
     i = min(y)
@@ -275,8 +274,8 @@ def test_perturbation_invisible_mod_p_changes_the_rank(monkeypatch):
     assert [C5.field.modular.vec(v) for v in perturbed] == \
         [C5.field.modular.vec(v) for v in family]
     assert span_rank(perturbed) == module.dim
-    assert certified_span_rank(perturbed, module.dim, C5.field.modular,
-                               C5.one) is None
+    assert certified_rank(perturbed, [], module.dim, C5.field.modular,
+                          C5.one) is None
     monkeypatch.setattr(weightmod, "_image_family",
                         lambda module: (perturbed, seeds))
     result = weightmod._adjointness_surjective(5, 1, C5)

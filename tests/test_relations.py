@@ -133,6 +133,25 @@ def test_perturbed_S_prime_X_fails_quadratic(monkeypatch):
     assert braids and all(checks[name].ok for name in braids)
 
 
+def test_perturbed_S_prime_g1_names_its_column(monkeypatch):
+    ctx = context(BlobParams(4, 0, 2))
+    build = specht.build_S_prime
+
+    def perturbed(n1, n2, ctx):
+        rep = build(n1, n2, ctx)
+        g1 = [dict(col) for col in rep.g[1]]
+        g1[0][0] = g1[0].get(0, ctx.zero) + ctx.one
+        return specht.MatrixRep(rep.labels, rep.x, {**rep.g, 1: g1}, ctx)
+
+    monkeypatch.setattr(specht, "build_S_prime", perturbed)
+    checks = specht.verify_phi_intertwines(2, 2, ctx)
+    assert [(c.name, c.ok, c.first_failure) for c in checks] == [
+        ("phi_intertwines(g1)", False, 0),
+        ("phi_intertwines(g2)", True, None),
+        ("phi_intertwines(g3)", True, None),
+        ("phi_bijective", True, None)]
+
+
 def test_operator_leaving_its_weight_is_an_arithmetic_error():
     n = 3
     ctx = context(BlobParams(n, 0, 2))
