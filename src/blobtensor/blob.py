@@ -26,9 +26,9 @@ from itertools import accumulate
 
 from .linalg import mat_mul, mat_sub_scalar_diag, mat_transpose
 from .relations import (ZERO, Relation, ariki_koike_relations, blob_identity,
-                        blob_relations, commute, evaluate, product)
-from .tensor import (ops_Xk_ctx, verify_ariki_koike, verify_blob_identity,
-                     verify_partial_rotation_fixing, weight_blocks)
+                        blob_relations, evaluate, product)
+from .tensor import (verify_ariki_koike, verify_blob_identity,
+                     verify_partial_rotation_fixing)
 
 
 class MatrixRep:
@@ -127,15 +127,6 @@ def verify_ideal_generators(n, ctx):
     return evaluate(rels, module_blocks(n, ctx), ctx.one)
 
 
-def verify_xk_commute(n, ctx, kmax=None):
-    """The operators X_1 .. X_k commute pairwise on every basis word."""
-    xs = ops_Xk_ctx(n, ctx, kmax)
-    xs[0].name = "X1"
-    rels = [commute(a.name, b.name)
-            for i, a in enumerate(xs) for b in xs[i + 1:]]
-    return evaluate(rels, weight_blocks(n, xs), ctx.one)
-
-
 def verify_relation_suite(n, ctx):
     """Every relation check of one verify-relations grid point, in report
     order: the Ariki-Koike relations, the blob identity, the blob relations,
@@ -144,7 +135,5 @@ def verify_relation_suite(n, ctx):
     checks += verify_blob_identity(n, ctx)
     checks += verify_blob_relations(n, ctx)
     checks += verify_ideal_generators(n, ctx)
-    for j in (1, 2):
-        for p in range(1, n + 1):
-            checks += verify_partial_rotation_fixing(j, p, n, ctx)
+    checks += verify_partial_rotation_fixing(n, ctx)
     return checks

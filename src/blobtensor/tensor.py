@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import itertools
 
-from .linalg import vec_add_scaled, vec_sub
+from .linalg import mat_identity, mat_mul, vec_add_scaled
 from .relations import (Relation, RelationCheck, ariki_koike_relations,
                         blob_identity, evaluate, product, word)
 
@@ -85,11 +85,6 @@ class LinOp:
                      lambda w: self(other.apply_word(w)),
                      name=f"{self.name}*{other.name}")
 
-    @staticmethod
-    def identity(n, ctx):
-        one = ctx.one
-        return LinOp(n, ctx, lambda w: {w: one}, name="Id")
-
     def matrix(self, basis):
         """Column-sparse matrix on an ordered basis of words (columns are
         images); raises ArithmeticError if an image leaves the span of the
@@ -112,9 +107,9 @@ class LinOp:
 # the defining operators
 # ---------------------------------------------------------------------------
 
-def _check_index(i, n, lo=2):
-    if not lo <= i <= n:
-        raise ValueError(f"index {i} out of range {lo}..{n}")
+def _check_index(i, n):
+    if not 2 <= i <= n:
+        raise ValueError(f"index {i} out of range 2..{n}")
 
 
 def op_T_ctx(i, n, ctx):
@@ -198,13 +193,10 @@ def op_X_ctx(n, ctx):
     return op
 
 
-def ops_Xk_ctx(n, ctx, kmax=None):
-    """[X_1, ..., X_kmax] with X_1 = X and X_k = T_k X_{k-1} T_k."""
-    if kmax is None:
-        kmax = n
-    _check_index(kmax, n, lo=1)
+def ops_Xk_ctx(n, ctx):
+    """[X_1, ..., X_n] with X_1 = X and X_k = T_k X_{k-1} T_k."""
     ops = [op_X_ctx(n, ctx)]
-    for k in range(2, kmax + 1):
+    for k in range(2, n + 1):
         t = op_T_ctx(k, n, ctx)
         op = t @ ops[-1] @ t
         op.name = f"X{k}"
@@ -216,12 +208,14 @@ def ops_Xk_ctx(n, ctx, kmax=None):
 # relation verification
 # ---------------------------------------------------------------------------
 
-def weight_blocks(n, ops):
-    """(basis, matrices) for each weight subspace of V^(x)n, with the matrix
-    of every LinOp in `ops` keyed by its name."""
-    for ones in range(n + 1):
-        basis = weight_words(n, ones)
-        yield basis, {op.name: op.matrix(basis) for op in ops}
+def weight_blocks(n, ctx, ops):
+    """(basis, matrices) for each block of V^(x)n: the `module_blocks` of the
+    cached weight modules M_n(lam), each extended with the matrix of every
+    LinOp in `ops` keyed by its name."""
+    from .weightmod import module_blocks
+
+    for basis, mats in module_blocks(n, ctx):
+        yield basis, dict(mats, **{op.name: op.matrix(basis) for op in ops})
 
 
 def verify_ariki_koike(n, ctx):
@@ -229,19 +223,11 @@ def verify_ariki_koike(n, ctx):
     the matrices on each weight block: X and T2 .. Tn are those of the
     cached weight modules M_n(lam), the other operators are built on their
     bases.  Returns one RelationCheck per relation."""
-    from .weightmod import module_blocks
-
     if n < 2:
         raise ValueError("relation suite needs n >= 2")
     ops = [op_varpi_ctx(n, ctx), op_theta_varpi_ctx(n, ctx)]
     for i in range(2, n + 1):
         ops += [op_T_inv_ctx(i, n, ctx), op_S_ctx(i, n, ctx)]
-
-    def blocks():
-        for basis, mats in module_blocks(n, ctx):
-            yield basis, dict(mats, **{op.name: op.matrix(basis)
-                                       for op in ops})
-
     rels = ariki_koike_relations([f"T{i}" for i in range(2, n + 1)], ctx,
                                  identity=False)
     # grouped by name prefix, prefixes ranked by first appearance (the keys
@@ -254,32 +240,43 @@ def verify_ariki_koike(n, ctx):
         word(*(f"S{j}" for j in range(n, 1, -1)), "varpi")))
     rels += [Relation(f"two_sided_inverse(T{i})", word(f"T{i}^-1", f"T{i}"),
                       word()) for i in range(2, n + 1)]
-    return evaluate(rels, blocks(), ctx.one)
+    return evaluate(rels, weight_blocks(n, ctx, ops), ctx.one)
 
 
-def verify_partial_rotation_fixing(j, p, n, ctx):
-    """For every basis word v with letter >= j at position p, check that
-    T_{p+1}^-1 ... T_n^-1 S_n ... S_{p+1} fixes v modulo the span of words
-    with letter >= j+1 at position p."""
-    if not 1 <= j <= 2:
-        raise ValueError("j must be 1 or 2")
-    if not 1 <= p <= n:
-        raise ValueError(f"position {p} out of range 1..{n}")
-    comp = LinOp.identity(n, ctx)
-    for r in range(p + 1, n + 1):
-        comp = op_S_ctx(r, n, ctx) @ comp
-    for r in range(n, p, -1):
-        comp = op_T_inv_ctx(r, n, ctx) @ comp
-    bad = None
-    for v in all_words(n):
-        if int(v[p - 1]) < j:
-            continue
-        residual = vec_sub(comp.apply_word(v), {v: ctx.one})
-        if any(int(u[p - 1]) < j + 1 for u in residual):
-            bad = v
-            break
-    return [RelationCheck(f"rotation_fixes_filtration({j},{p})",
-                          bad is None, bad)]
+def verify_partial_rotation_fixing(n, ctx):
+    """The partial rotations R_p = T_{p+1}^-1 ... T_n^-1 S_n ... S_{p+1} fix
+    the position-p filtration: for j = 1, 2 and every basis word v with
+    letter >= j at position p, R_p v - v lies in the span of the words with
+    letter >= j+1 there.  With P_p the projection onto the words with a 2 at
+    position p and Q_p = I - P_p, this is Q_p R_p = Q_p for j = 1 and
+    R_p P_p = P_p for j = 2.  On each weight block R_n = I and
+    R_{p-1} = T_p^-1 R_p S_p.  One RelationCheck per (j, p), j = 1 first."""
+    one = ctx.one
+    ops = [op(i, n, ctx) for i in range(2, n + 1)
+           for op in (op_T_inv_ctx, op_S_ctx)]
+
+    def blocks():
+        for basis, mats in weight_blocks(n, ctx, ops):
+            r = mat_identity(len(basis), one)
+            for p in range(n, 0, -1):
+                twos = [w[p - 1] == "2" for w in basis]
+                mats[f"R{p}"] = r
+                mats[f"P{p}"] = [{k: one} if t else {}
+                                 for k, t in enumerate(twos)]
+                mats[f"Q{p}"] = [{} if t else {k: one}
+                                 for k, t in enumerate(twos)]
+                if p > 1:
+                    r = mat_mul(mats[f"T{p}^-1"], mat_mul(r, mats[f"S{p}"]))
+            yield basis, mats
+
+    positions = range(1, n + 1)
+    rels = [Relation(f"rotation_fixes_filtration(1,{p})",
+                     word(f"Q{p}", f"R{p}"), word(f"Q{p}"))
+            for p in positions]
+    rels += [Relation(f"rotation_fixes_filtration(2,{p})",
+                      word(f"R{p}", f"P{p}"), word(f"P{p}"))
+             for p in positions]
+    return evaluate(rels, blocks(), one)
 
 
 def verify_blob_identity(n, ctx):

@@ -244,24 +244,24 @@ def x_multiplicity_table(n_max):
 
 def verify_triangle(n_max):
     """The triangle satisfies the Pascal recursion (missing entries are 0)
-    and matches both direct counts."""
+    and matches both direct counts; each check names its first failing
+    entry."""
     table = x_multiplicity_table(n_max)
-    checks = []
-    bad = None
-    for n in range(1, n_max + 1):
-        lams = lambda_range(n)
-        for j, lam in enumerate(lams):
-            count = sum(1 for w in weight_basis(n, lam) if w[0] == "2")
-            if count != table[n][j]:
-                bad = f"n={n},lambda={lam}"
-    checks.append(RelationCheck("triangle_counts_words", bad is None, bad))
-    bad = None
-    for n in range(2, n_max + 1):
-        prev = dict(zip(lambda_range(n - 1), table[n - 1]))
-        for j, lam in enumerate(lambda_range(n)):
-            expect = prev.get(lam - 1, 0) + prev.get(lam + 1, 0)
-            if table[n][j] != expect:
-                bad = f"n={n},lambda={lam}"
+    bad = next((f"n={n},lambda={lam}"
+                for n in range(1, n_max + 1)
+                for j, lam in enumerate(lambda_range(n))
+                if table[n][j] != sum(1 for w in weight_basis(n, lam)
+                                      if w[0] == "2")), None)
+    checks = [RelationCheck("triangle_counts_words", bad is None, bad)]
+
+    def pascal_failures():
+        for n in range(2, n_max + 1):
+            prev = dict(zip(lambda_range(n - 1), table[n - 1]))
+            for j, lam in enumerate(lambda_range(n)):
+                if table[n][j] != prev.get(lam - 1, 0) + prev.get(lam + 1, 0):
+                    yield f"n={n},lambda={lam}"
+
+    bad = next(pascal_failures(), None)
     checks.append(RelationCheck("triangle_pascal_recursion", bad is None,
                                 bad))
     return checks
@@ -269,22 +269,25 @@ def verify_triangle(n_max):
 
 def verify_x_triangular(n, lam, ctx):
     """In the 2-initial-first basis order the matrix of X is upper triangular
-    with lambda2 on the first |B2| diagonal entries and lambda1 after."""
+    with lambda2 on the first |B2| diagonal entries and lambda1 after; the
+    check names the first failure, column by column."""
     module = weight_module(n, lam, ctx)
-    xmat = module.x
     b2 = sum(1 for w in module.basis if w[0] == "2")
-    bad = None
-    for j, col in enumerate(xmat):
-        expect_diag = ctx.lam2 if j < b2 else ctx.lam1
-        for i, c in col.items():
-            if i > j:
-                bad = f"below-diagonal entry at ({i},{j})"
-            if i == j and c != expect_diag:
-                bad = f"diagonal at {j}"
-        if j < b2 and list(col.keys()) != [j]:
-            bad = f"2-block column {j} not diagonal"
-        if module.basis[j][0] == "1" and j < b2:
-            bad = "basis order broken"
+
+    def failures():
+        for j, col in enumerate(module.x):
+            expect_diag = ctx.lam2 if j < b2 else ctx.lam1
+            for i, c in col.items():
+                if i > j:
+                    yield f"below-diagonal entry at ({i},{j})"
+                if i == j and c != expect_diag:
+                    yield f"diagonal at {j}"
+            if j < b2 and list(col.keys()) != [j]:
+                yield f"2-block column {j} not diagonal"
+            if module.basis[j][0] == "1" and j < b2:
+                yield "basis order broken"
+
+    bad = next(failures(), None)
     return [RelationCheck("x_upper_triangular", bad is None, bad)]
 
 

@@ -503,13 +503,12 @@ def adjointness_record(n, lam, params):
 
 def verify_trivial_relations(n, lam, ctx):
     """The two systems of formal relations between shifted underline elements
-    and the decorated elements, expanded to plain vectors in M_n(lam)."""
+    and the decorated elements, expanded to plain vectors in M_n(lam); each
+    check names its first failing split of the word."""
     label = WeightLabel(n, lam)
     n1, n2 = label.n1, label.n2
-    checks = []
 
-    bad1 = None
-    if n1 >= 2 and n2 >= 2:
+    def tl_failures():
         for l1 in range(n - 3):
             for l2 in range(n - 3 - l1):
                 l3 = n - 4 - l1 - l2
@@ -527,11 +526,9 @@ def verify_trivial_relations(n, lam, ctx):
                                                          ctx), ctx.qinv),
                                 underline_vect(w1, w2 + "21" + w3, ctx))
                             if not vec_eq(lhs, rhs):
-                                bad1 = w1 + "|" + w2 + "|" + w3
-    checks.append(RelationCheck("shift_relation_tl", bad1 is None, bad1))
+                                yield w1 + "|" + w2 + "|" + w3
 
-    bad2 = None
-    if n1 >= 2 and n2 >= 2:
+    def decorated_failures():
         for l1 in range(n - 3):
             l2 = n - 4 - l1
             for w1 in all_words(l1):
@@ -546,9 +543,13 @@ def verify_trivial_relations(n, lam, ctx):
                         underline_vect("1" + w1, w2 + "2", ctx),
                         underline_vect("2" + w1, w2 + "1", ctx), label, ctx)
                     if not vec_eq(lhs, rhs):
-                        bad2 = w1 + "|" + w2
-    checks.append(RelationCheck("shift_relation_decorated", bad2 is None,
-                                bad2))
+                        yield w1 + "|" + w2
+
+    checks = []
+    for name, failures in (("shift_relation_tl", tl_failures),
+                           ("shift_relation_decorated", decorated_failures)):
+        bad = next(failures(), None) if n1 >= 2 and n2 >= 2 else None
+        checks.append(RelationCheck(name, bad is None, bad))
     return checks
 
 

@@ -76,3 +76,43 @@ def test_traced_names_resolve():
             home = importlib.import_module(f"blobtensor.{module}")
             bound = importlib.import_module(f"blobtensor.{site}")
             assert getattr(bound, name, None) is getattr(home, name), pattern
+
+
+def _private_definitions(tree):
+    """Module-level functions and class methods whose name starts with '_'
+    (dunders and nested functions exempt)."""
+    for node in tree.body:
+        members = node.body if isinstance(node, ast.ClassDef) else [node]
+        for member in members:
+            if isinstance(member, (ast.FunctionDef, ast.AsyncFunctionDef)) \
+                    and member.name.startswith("_") \
+                    and not member.name.endswith("__"):
+                yield member
+
+
+def _references(tree):
+    """Every name read or attribute taken in the tree."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.alias):
+            yield node.name
+
+
+def test_private_helpers_have_callers():
+    # a private helper is referenced somewhere in src/ outside its own body
+    trees = [ast.parse(path.read_text())
+             for path in sorted(Path(blob.__file__).parent.glob("*.py"))]
+    counts = {}
+    for tree in trees:
+        for name in _references(tree):
+            counts[name] = counts.get(name, 0) + 1
+    orphans = []
+    for tree in trees:
+        for fn in _private_definitions(tree):
+            own = sum(1 for name in _references(fn) if name == fn.name)
+            if counts.get(fn.name, 0) <= own:
+                orphans.append(fn.name)
+    assert not orphans

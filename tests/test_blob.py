@@ -2,12 +2,12 @@
 
 import pytest
 
-from blobtensor.blob import (verify_blob_relations, verify_ideal_generators,
-                             verify_xk_commute)
+from blobtensor.blob import verify_blob_relations, verify_ideal_generators
 from blobtensor.linalg import mat_vec, vec_scale
+from blobtensor.relations import commute, evaluate
 from blobtensor.scalars import BlobParams, context
 from blobtensor.tensor import all_words
-from blobtensor.weightmod import weight_module
+from blobtensor.weightmod import lambda_range, weight_module
 
 P3 = BlobParams(3, 0, 2)
 C3 = context(P3)
@@ -83,6 +83,16 @@ def test_ideal_generators(params):
 
 
 def test_xk_pairwise_commute():
+    # X_1 .. X_n commute pairwise on every weight module M_n(lam)
     for params in (BlobParams(4, 0, 2), BlobParams(5, 5, 2)):
-        checks = verify_xk_commute(params.n, context(params))
+        n, ctx = params.n, context(params)
+        names = [f"X{k}" for k in range(1, n + 1)]
+        rels = [commute(a, b) for i, a in enumerate(names)
+                for b in names[i + 1:]]
+        blocks = []
+        for lam in lambda_range(n):
+            module = weight_module(n, lam, ctx)
+            blocks.append((module.basis, dict(zip(names, module.xk))))
+        checks = evaluate(rels, blocks, ctx.one)
+        assert len(checks) == n * (n - 1) // 2
         assert all(c.ok for c in checks)

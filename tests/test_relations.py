@@ -78,7 +78,7 @@ def test_wrong_T_coefficient_fails_with_first_word():
     T3 = _bad_T3(n, ctx)
     rels = ariki_koike_relations(["T2", "T3", "T4"], ctx, identity=False)
     checks = {c.name: c for c in evaluate(
-        rels, weight_blocks(n, [T2, T3, T4, X]), ctx.one)}
+        rels, weight_blocks(n, ctx, [T2, T3, T4, X]), ctx.one)}
     for name in ("quadratic(T3)", "braid(T2,T3)", "braid(T3,T4)"):
         assert not checks[name].ok, name
     for name in ("quadratic(T2)", "quadratic(T4)", "commute(T2,T4)",
@@ -152,10 +152,22 @@ def test_perturbed_S_prime_g1_names_its_column(monkeypatch):
         ("phi_bijective", True, None)]
 
 
+def test_phi_bijective_names_count_and_dim(monkeypatch):
+    # one standard bitableau short: the failure carries (count, dim)
+    ctx = context(BlobParams(4, 0, 2))
+    specht.build_S_prime(2, 2, ctx)
+    real = specht.standard_bitableaux
+    monkeypatch.setattr(specht, "standard_bitableaux",
+                        lambda shape: real(shape)[:-1])
+    check = specht.verify_phi_intertwines(2, 2, ctx)[-1]
+    assert (check.name, check.ok, check.first_failure) == \
+        ("phi_bijective", False, (5, 6))
+
+
 def test_operator_leaving_its_weight_is_an_arithmetic_error():
     n = 3
     ctx = context(BlobParams(n, 0, 2))
     leaky = LinOp(n, ctx, lambda w: {"1" * n: ctx.one}, name="X")
     rels = ariki_koike_relations([], ctx)
     with pytest.raises(ArithmeticError, match="X leaves the basis span"):
-        evaluate(rels, weight_blocks(n, [leaky]), ctx.one)
+        evaluate(rels, weight_blocks(n, ctx, [leaky]), ctx.one)

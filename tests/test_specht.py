@@ -4,6 +4,7 @@ from math import comb
 
 import pytest
 
+from blobtensor import specht
 from blobtensor.scalars import BlobParams, context
 from blobtensor.specht import (Bitableau, Shape, build_S_prime, col_shape,
                                dual_adjointness_check, dualize, gi_action,
@@ -72,6 +73,20 @@ def test_gi_action_cases():
 def test_gi_quadratic(shape):
     assert all(c.ok
                for c in verify_gi_quadratic_on_bitableaux(shape, C4))
+
+
+def test_gi_quadratic_names_first_failure(monkeypatch):
+    # a stray term in g_1 and g_3: the check names i = 1, the first failure
+    real = specht.gi_action
+
+    def wrong(i, t, ctx):
+        out = real(i, t, ctx)
+        return {**out, t: out.get(t, ctx.zero) + ctx.one} if i in (1, 3) \
+            else out
+
+    monkeypatch.setattr(specht, "gi_action", wrong)
+    (check,) = verify_gi_quadratic_on_bitableaux(row_shape(2, 2), C4)
+    assert (check.ok, check.first_failure) == (False, "i=1")
 
 
 def test_phi_examples():

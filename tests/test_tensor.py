@@ -1,10 +1,13 @@
 """Tensor-space operators: defining rules, relations, triangularity."""
 
 import doctest
+import operator
+from functools import reduce
 
 import pytest
 
 import blobtensor.tensor as tensor_module
+from blobtensor.linalg import vec_sub
 from blobtensor.scalars import BlobParams, context
 from blobtensor.tensor import (LinOp, all_words, op_S_ctx, op_T_ctx,
                                op_T_inv_ctx, op_theta_varpi_ctx, op_X_ctx,
@@ -84,13 +87,11 @@ def test_Xk_examples():
     X1, X2 = ops_Xk_ctx(2, C2)
     assert X1("21") == {"21": C2.lam2}
     assert X2("21") == {"21": C2.lam1}
-    X2_3 = ops_Xk_ctx(3, C3, 2)[1]
+    X2_3 = ops_Xk_ctx(3, C3)[1]
     assert X2_3("221") == {"221": C3.lam2 * C3.q ** 2}
 
 
 def test_Xk_index_errors():
-    with pytest.raises(ValueError):
-        ops_Xk_ctx(3, C3, 4)
     with pytest.raises(ValueError):
         op_T_ctx(5, 3, C3)
     with pytest.raises(ValueError):
@@ -116,17 +117,18 @@ def test_blob_identity(params):
 
 def test_partial_rotation_fixing_all_small():
     for n in (2, 3, 4):
-        for j in (1, 2):
-            for p in range(1, n + 1):
-                checks = verify_partial_rotation_fixing(j, p, n, C2)
-                assert all(c.ok for c in checks), (j, p, n)
+        checks = verify_partial_rotation_fixing(n, C2)
+        assert [c.name for c in checks] == [
+            f"rotation_fixes_filtration({j},{p})"
+            for j in (1, 2) for p in range(1, n + 1)]
+        assert all(c.ok for c in checks), n
 
 
 def test_partial_rotation_exact_fixing_j2():
     # Y_{3,p} = 0, so words with letter 2 at p are fixed exactly
     ctx = context(BlobParams(4, 0, 3))
-    comp = LinOp.identity(4, ctx)
-    for r in range(2, 5):
+    comp = op_S_ctx(2, 4, ctx)
+    for r in range(3, 5):
         comp = op_S_ctx(r, 4, ctx) @ comp
     for r in range(4, 1, -1):
         comp = op_T_inv_ctx(r, 4, ctx) @ comp
@@ -137,14 +139,78 @@ def test_partial_rotation_exact_fixing_j2():
 
 def test_all_ones_fixed_by_rotation_composite():
     ctx = C2
-    checks = verify_partial_rotation_fixing(1, 2, 5, ctx)
+    checks = verify_partial_rotation_fixing(5, ctx)
     assert all(c.ok for c in checks)
-    comp = LinOp.identity(5, ctx)
-    for r in range(3, 6):
+    comp = op_S_ctx(3, 5, ctx)
+    for r in range(4, 6):
         comp = op_S_ctx(r, 5, ctx) @ comp
     for r in range(5, 2, -1):
         comp = op_T_inv_ctx(r, 5, ctx) @ comp
     assert comp.apply_word("11111") == {"11111": ctx.one}
+
+
+def _lazy_rotation_checks(n, ctx):
+    """(name, ok, witness) of every partial-rotation check from the lazy
+    chain T_{p+1}^-1 @ ... @ T_n^-1 @ S_n @ ... @ S_{p+1}, applied word by
+    word over all_words(n); the witness is the first word whose residual
+    leaves the filtration."""
+    out = []
+    for j in (1, 2):
+        for p in range(1, n + 1):
+            factors = [op_T_inv_ctx(r, n, ctx) for r in range(p + 1, n + 1)]
+            factors += [tensor_module.op_S_ctx(r, n, ctx)
+                        for r in range(n, p, -1)]
+            comp = reduce(operator.matmul, factors) if factors else None
+            bad = None
+            for v in all_words(n):
+                if int(v[p - 1]) < j:
+                    continue
+                image = comp.apply_word(v) if comp else {v: ctx.one}
+                residual = vec_sub(image, {v: ctx.one})
+                if any(int(u[p - 1]) < j + 1 for u in residual):
+                    bad = v
+                    break
+            out.append((f"rotation_fixes_filtration({j},{p})", bad is None,
+                        bad))
+    return out
+
+
+@pytest.mark.parametrize("l", [0, 5])
+@pytest.mark.parametrize("n", [5, 6])
+def test_perturbed_S_fails_at_the_lazy_chains_word(monkeypatch, n, l):
+    # one coefficient of one word of one S_r off by one: the block
+    # recurrence names the same failing (j, p) and word as the lazy chain
+    ctx = context(BlobParams(n, l, 2))
+    real = tensor_module.op_S_ctx
+    cases = [(r, target) for r in (2, 4, n)
+             for target in (all_words(n)[3], all_words(n)[-6])]
+    failing = 0
+    for r, target in cases:
+        def op_S(i, n_, ctx_, r=r, target=target):
+            op = real(i, n_, ctx_)
+            if i != r:
+                return op
+
+            def rule(w):
+                out = dict(op.apply_word(w))
+                if w == target:
+                    u = min(out)
+                    out[u] = out[u] + ctx_.one
+                return out
+
+            return LinOp(n_, ctx_, rule, name=op.name)
+
+        monkeypatch.setattr(tensor_module, "op_S_ctx", op_S)
+        checks = [(c.name, c.ok, c.first_failure)
+                  for c in verify_partial_rotation_fixing(n, ctx)]
+        assert checks == _lazy_rotation_checks(n, ctx), (r, target)
+        failing += not all(ok for _, ok, _ in checks)
+    monkeypatch.undo()
+    assert failing == len(cases)
+    checks = verify_partial_rotation_fixing(n, ctx)
+    assert all(c.ok for c in checks)
+    assert [(c.name, c.ok, c.first_failure) for c in checks] == \
+        _lazy_rotation_checks(n, ctx)
 
 
 def test_linop_matrix_and_arith():
@@ -152,7 +218,7 @@ def test_linop_matrix_and_arith():
     X = op_X_ctx(3, C3)
     mat = X.matrix(basis)
     assert len(mat) == 3
-    ident = LinOp.identity(3, C3)
+    ident = op_T_inv_ctx(2, 3, C3) @ op_T_ctx(2, 3, C3)
     assert (X @ ident).apply_word("211") == X.apply_word("211")
 
 

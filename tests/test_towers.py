@@ -250,6 +250,29 @@ def test_non_triangular_x_fails(monkeypatch, offset):
     assert check.first_failure == f"below-diagonal entry at ({j + offset},{j})"
 
 
+def test_first_failure_is_named(monkeypatch):
+    # two injected failures each: the checks name the first, not the last
+    ctx = context(BlobParams(6, 5, 2))
+    j = comb(5, 3)
+    _perturbed_modules(monkeypatch, 0, j + 4, j)
+    _perturbed_modules(monkeypatch, 0, j + 5, j + 1)
+    (check,) = verify_x_triangular(6, 0, ctx)
+    assert check.first_failure == f"below-diagonal entry at ({j + 4},{j})"
+
+    real = towers.x_multiplicity_table
+
+    def wrong_table(n_max):
+        table = real(n_max)
+        table[3][1] += 1  # lambda = -1
+        table[4][2] += 1  # lambda = 0
+        return table
+
+    monkeypatch.setattr(towers, "x_multiplicity_table", wrong_table)
+    assert [(c.name, c.first_failure) for c in verify_triangle(6)] == [
+        ("triangle_counts_words", "n=3,lambda=-1"),
+        ("triangle_pascal_recursion", "n=3,lambda=-1")]
+
+
 def test_non_invariant_eigenspace_fails(monkeypatch):
     ctx = context(BlobParams(4, 5, 2))
     _perturbed_modules(monkeypatch, 1, 5, 0)

@@ -4,6 +4,7 @@ from math import comb
 
 import pytest
 
+from blobtensor import weightmod
 from blobtensor.blob import dualize
 from blobtensor.linalg import (SpanSolver, mat_eq, mat_is_zero, mat_mul,
                                mat_transpose, span_rank, vec_sub)
@@ -261,6 +262,19 @@ def test_trivial_relations():
         for lam in lambda_range(n):
             checks = verify_trivial_relations(n, lam, C3)
             assert all(c.ok for c in checks), (n, lam)
+
+
+def test_trivial_relations_name_first_failure(monkeypatch):
+    # a stray term that breaks every shift relation: the first split of the
+    # scan is named, w1 = w2 = '' and the first w3 with one letter 1
+    real = weightmod.underline_vect
+
+    def wrong(w1, w2, ctx):
+        return {**real(w1, w2, ctx), "x" + w1: ctx.one}
+
+    monkeypatch.setattr(weightmod, "underline_vect", wrong)
+    tl, _ = verify_trivial_relations(6, 0, C3)
+    assert (tl.ok, tl.first_failure) == (False, "||12")
 
 
 def test_module_blob_relations_and_transpose():
