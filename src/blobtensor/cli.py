@@ -218,8 +218,8 @@ def _adjointness_summary(results):
 def _localize_point(params, ctx, lam):
     n = params.n
     if abs(lam) == n:
-        module = weightmod.weight_module(n, lam, ctx)
-        dim_e = weightmod.localize(module).dim_e
+        dim_e = weightmod.localized_dim(
+            weightmod.weight_module(n, lam, ctx))
         return {"n": n, "l": params.l, "m": params.m, "lambda": lam,
                 "dim_e": dim_e, "localizes_to_zero": dim_e == 0,
                 "ok": dim_e == 0}, dim_e == 0
@@ -306,7 +306,6 @@ def _add_common(sub, lam=False, needs_n=True):
     sub.add_argument("--backend", choices=["auto", "generic", "cyclotomic"],
                      default="auto")
     sub.add_argument("--out", default=None, help="output path (default stdout)")
-    sub.add_argument("--format", choices=["json", "csv"], default="json")
 
 
 def _attach_negative_values(argv):
@@ -366,11 +365,6 @@ def main(argv=None):
             sys.argv[1:] if argv is None else argv))
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
-    if getattr(args, "format", "json") == "csv" and \
-            args.command != "triangle":
-        print("csv output is only defined for the triangle command",
-              file=sys.stderr)
-        return 2
     try:
         _check_out(args.out)
         report, ok = args.fn(args)

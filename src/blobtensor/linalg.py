@@ -74,12 +74,11 @@ class SpanSolver:
 
     Given the field's one (which every tracked insert needs, so it is passed
     in rather than obtained by an inversion), every stored row remembers its
-    expression in terms of the inserted generators, so `express` can write a
-    vector as an explicit linear combination of the generators that were
-    accepted or rejected so far, and an insert that does not raise the rank
-    leaves the linear relation it found in `relation`: {tag: scalar} with the
-    rejected vector's own tag at coefficient one (absent when that vector was
-    zero), summing to zero.
+    expression in terms of the inserted generators, and an insert that does
+    not raise the rank leaves the linear relation it found in `relation`:
+    {tag: scalar} with the rejected vector's own tag at coefficient one
+    (absent when that vector was zero), summing to zero.  `nullspace` reads
+    its kernel vectors from these relations.
     """
 
     def __init__(self, one=None):
@@ -132,15 +131,6 @@ class SpanSolver:
     def contains(self, vec):
         piv, _, _ = self._reduce(vec)
         return piv is None
-
-    def express(self, vec):
-        """Write vec as {tag: coeff} over the inserted generators, or None."""
-        if self.one is None:
-            raise ValueError("SpanSolver built without the field's one")
-        piv, _, combo = self._reduce(dict(vec), {})
-        if piv is not None:
-            return None
-        return {t: -c for t, c in combo.items()}
 
 
 def span_rank(vectors):

@@ -28,9 +28,14 @@ from .linalg import (mat_identity, mat_mul, mat_sub_scalar_diag,
 
 @dataclass(frozen=True)
 class RelationCheck:
+    """A verdict and its witness, None when the check holds or names none:
+    a basis word or a descriptive string (`n=...,lambda=...`, `i=...`,
+    `w1|w2`), a column index from `evaluate` on a matrix block, or the pair
+    (count, dim) of `phi_bijective`."""
+
     name: str
     ok: bool
-    first_failure: str | None = None
+    first_failure: str | int | tuple[int, int] | None = None
 
     def to_record(self):
         return {"relation": self.name, "ok": self.ok,

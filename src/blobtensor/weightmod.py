@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
 
-from .blob import MatrixRep, blob_relation_checks_matrices, dualize
+from .blob import MatrixRep
 from .linalg import (SpanSolver, certified_rank, invariant_closure, mat_eq,
                      mat_mul, mat_scale, mat_vec, span_rank, vec_add_scaled,
                      vec_eq, vec_scale, vec_sub)
@@ -148,49 +148,12 @@ def underline_vect(w1, w2, ctx):
     return {w1 + "12" + w2: ctx.qinv, w1 + "21" + w2: -ctx.one}
 
 
-@dataclass
-class LocalizationResult:
-    n: int
-    lam: int
-    dim_e: int
-    basis_coords: list          # independent e-image vectors (M-coordinates)
-    gens: list                  # U_0..U_{n-3} restricted to eM
-    e_fixes_basis: bool
-
-    @property
-    def ok(self):
-        return self.e_fixes_basis
-
-
-def localize(module):
-    """Column space of e on M_n(lam) with the b_{n-2} generator matrices
-    restricted to it."""
-    n = module.n
-    if n < 2:
+def localized_dim(module):
+    """dim eM_n(lam): the rank of e = -U_{n-1}/[2] on M_n(lam).  That eM
+    with U_0 .. U_{n-3} is M_{n-2}(lam) is the claim of `underline_map`."""
+    if module.n < 2:
         raise ValueError("the idempotent e = -U_{n-1}/[2] needs n >= 2")
-    emat = _e_matrix(module.U, module.ctx)
-    solver = SpanSolver(module.ctx.one)
-    chosen = []
-    for j, col in enumerate(emat):
-        if solver.insert(dict(col), tag=len(chosen)):
-            chosen.append(dict(col))
-    dim_e = len(chosen)
-    # restrict U_0..U_{n-3}; they commute with U_{n-1} hence preserve eM
-    gens = []
-    for i in range(max(0, n - 2)):
-        cols = []
-        for b in chosen:
-            img = {}
-            for r, c in b.items():
-                vec_add_scaled(img, module.U[i][r], c)
-            expr = solver.express(img)
-            if expr is None:
-                raise ArithmeticError(
-                    f"U_{i} does not preserve eM_{n}({module.lam})")
-            cols.append(expr)
-        gens.append(cols)
-    e_fixes = all(vec_eq(mat_vec(emat, b), b) for b in chosen)
-    return LocalizationResult(n, module.lam, dim_e, chosen, gens, e_fixes)
+    return span_rank(_e_matrix(module.U, module.ctx))
 
 
 @dataclass
@@ -233,7 +196,7 @@ def underline_map(n, lam, ctx):
     # image sits inside eM and spans it
     e_fixes = all(vec_eq(mat_vec(emat, col), col) for col in fcols)
     rank = span_rank(fcols)
-    dim_e = span_rank(emat)
+    dim_e = localized_dim(big)
     intertwines = {}
     for i in range(n - 2):
         lhs = mat_mul(fcols, small.U[i])
@@ -552,12 +515,3 @@ def verify_trivial_relations(n, lam, ctx):
         checks.append(RelationCheck(name, bad is None, bad))
     return checks
 
-
-def verify_module_blob_relations(n, lam, ctx):
-    """Re-run the blob relations on the generator matrices of M_n(lam), and
-    again on those of its dual, the transposes (the defining relations are
-    *-symmetric)."""
-    module = weight_module(n, lam, ctx)
-    return blob_relation_checks_matrices(module.U, module.ctx, "module:") + \
-        blob_relation_checks_matrices(dualize(module).U, module.ctx,
-                                      "transposed:")

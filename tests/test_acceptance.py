@@ -45,9 +45,8 @@ def test_criterion_02_localization():
             ctx = context(BlobParams(n, l, m))
             for lam in lambda_range(n):
                 if abs(lam) == n:
-                    loc = weightmod.localize(
-                        weightmod.weight_module(n, lam, ctx))
-                    if loc.dim_e != 0:
+                    if weightmod.localized_dim(
+                            weightmod.weight_module(n, lam, ctx)) != 0:
                         failures.append((n, lam, l, "extreme_not_zero"))
                     continue
                 res = weightmod.underline_map(n, lam, ctx)

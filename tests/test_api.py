@@ -116,3 +116,21 @@ def test_private_helpers_have_callers():
             if counts.get(fn.name, 0) <= own:
                 orphans.append(fn.name)
     assert not orphans
+
+
+def test_imports_are_used():
+    # every name a module imports, nested imports included, is read in it
+    unused = []
+    for path in sorted(Path(blob.__file__).parent.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        read = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    name = (alias.asname or alias.name).split(".")[0]
+                    if name != "annotations" and name not in read:
+                        unused.append(f"{path.stem}: {name}")
+    assert not unused

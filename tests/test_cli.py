@@ -122,9 +122,11 @@ def test_triangle_json(tmp_path):
     assert report["ok"]
 
 
-def test_csv_rejected_elsewhere():
+def test_csv_rejected_elsewhere(capsys):
+    # the grid commands emit JSON only and take no --format at all
     rc = main(["localize", "--n", "3", "--format", "csv"])
     assert rc == 2
+    assert "unrecognized arguments: --format csv" in capsys.readouterr().err
 
 
 def test_adjointness_report(tmp_path):

@@ -2,11 +2,12 @@
 
 import doctest
 import operator
-from functools import reduce
+from functools import lru_cache, reduce
 
 import pytest
 
 import blobtensor.tensor as tensor_module
+from blobtensor import weightmod
 from blobtensor.linalg import vec_sub
 from blobtensor.scalars import BlobParams, context
 from blobtensor.tensor import (LinOp, all_words, op_S_ctx, op_T_ctx,
@@ -149,24 +150,30 @@ def test_all_ones_fixed_by_rotation_composite():
     assert comp.apply_word("11111") == {"11111": ctx.one}
 
 
+def _lazy_rotation(p, n, ctx):
+    """v -> R_p v from the lazy chain
+    T_{p+1}^-1 @ ... @ T_n^-1 @ S_n @ ... @ S_{p+1} (R_n = I)."""
+    factors = [tensor_module.op_T_inv_ctx(r, n, ctx)
+               for r in range(p + 1, n + 1)]
+    factors += [tensor_module.op_S_ctx(r, n, ctx) for r in range(n, p, -1)]
+    if not factors:
+        return lambda v: {v: ctx.one}
+    return reduce(operator.matmul, factors).apply_word
+
+
 def _lazy_rotation_checks(n, ctx):
     """(name, ok, witness) of every partial-rotation check from the lazy
-    chain T_{p+1}^-1 @ ... @ T_n^-1 @ S_n @ ... @ S_{p+1}, applied word by
-    word over all_words(n); the witness is the first word whose residual
-    leaves the filtration."""
+    chains, applied word by word over all_words(n); the witness is the
+    first word whose residual leaves the filtration."""
     out = []
     for j in (1, 2):
         for p in range(1, n + 1):
-            factors = [op_T_inv_ctx(r, n, ctx) for r in range(p + 1, n + 1)]
-            factors += [tensor_module.op_S_ctx(r, n, ctx)
-                        for r in range(n, p, -1)]
-            comp = reduce(operator.matmul, factors) if factors else None
+            rotate = _lazy_rotation(p, n, ctx)
             bad = None
             for v in all_words(n):
                 if int(v[p - 1]) < j:
                     continue
-                image = comp.apply_word(v) if comp else {v: ctx.one}
-                residual = vec_sub(image, {v: ctx.one})
+                residual = vec_sub(rotate(v), {v: ctx.one})
                 if any(int(u[p - 1]) < j + 1 for u in residual):
                     bad = v
                     break
@@ -211,6 +218,41 @@ def test_perturbed_S_fails_at_the_lazy_chains_word(monkeypatch, n, l):
     assert all(c.ok for c in checks)
     assert [(c.name, c.ok, c.first_failure) for c in checks] == \
         _lazy_rotation_checks(n, ctx)
+
+
+@pytest.mark.parametrize("l", [0, 5])
+@pytest.mark.parametrize("n,p", [(5, 2), (6, 3)])
+def test_j2_residual_off_position_p_fails(monkeypatch, n, p, l):
+    # v = 1^(p-1) 2 2 1^(n-p-1) and u = v with its 2 at p and its last
+    # letter exchanged (a 1 at p, the same weight); T_{p+1}^-1 v gains u, so
+    # R_p v = v + q u: R_p P_p = P_p fails at v, while the weaker
+    # P_p R_p P_p = P_p still holds
+    ctx = context(BlobParams(n, l, 2))
+    v = "1" * (p - 1) + "22" + "1" * (n - p - 1)
+    u = v[:p - 1] + v[-1] + v[p:-1] + v[p - 1]
+    real = tensor_module.op_T_inv_ctx
+
+    def op_T_inv(i, n_, ctx_):
+        op = real(i, n_, ctx_)
+        if i != p + 1:
+            return op
+        return LinOp(n_, ctx_, lambda w: {**op.apply_word(w), u: ctx_.one}
+                     if w == v else op.apply_word(w), name=op.name)
+
+    monkeypatch.setattr(tensor_module, "op_T_inv_ctx", op_T_inv)
+    # X is built from T^-1: keep the perturbed modules out of the cache
+    monkeypatch.setattr(weightmod, "weight_module",
+                        lru_cache(maxsize=None)(weightmod.WeightModule))
+    checks = [(c.name, c.ok, c.first_failure)
+              for c in verify_partial_rotation_fixing(n, ctx)]
+    assert (f"rotation_fixes_filtration(2,{p})", False, v) in checks
+    assert checks == _lazy_rotation_checks(n, ctx)
+    rotate = _lazy_rotation(p, n, ctx)
+    assert vec_sub(rotate(v), {v: ctx.one}) == {u: ctx.q}
+    for w in all_words(n):
+        if w[p - 1] == "2":
+            assert {x: c for x, c in rotate(w).items()
+                    if x[p - 1] == "2"} == {w: ctx.one}, w
 
 
 def test_linop_matrix_and_arith():

@@ -1,23 +1,25 @@
 """Weight modules, localization, and the adjointness criteria."""
 
+import json
+from functools import lru_cache
 from math import comb
 
 import pytest
 
 from blobtensor import weightmod
 from blobtensor.blob import dualize
+from blobtensor.cli import main
 from blobtensor.linalg import (SpanSolver, mat_eq, mat_is_zero, mat_mul,
-                               mat_transpose, span_rank, vec_sub)
+                               mat_transpose, vec_sub)
 from blobtensor.scalars import BlobParams, context, residues_equal
-from blobtensor.tensor import op_T_ctx, op_X_ctx
+from blobtensor.tensor import LinOp, op_T_ctx, op_X_ctx
 from blobtensor.weightmod import (WeightLabel, _adjointness_injective,
                                   _adjointness_surjective, _e_matrix,
-                                  adjointness_record, lambda_range, localize,
-                                  quotient_scalar_record,
+                                  adjointness_record, lambda_range,
+                                  localized_dim, quotient_scalar_record,
                                   special_element_scalar, straighten_word,
-                                  underline_map, verify_module_blob_relations,
-                                  verify_trivial_relations, weight_basis,
-                                  weight_module)
+                                  underline_map, verify_trivial_relations,
+                                  weight_basis, weight_module)
 
 P3 = BlobParams(3, 0, 2)
 C3 = context(P3)
@@ -83,39 +85,52 @@ def test_idempotent():
 
 
 def test_localize_small_cases():
-    module = weight_module(3, 1, C3)
-    loc = localize(module)
-    assert loc.dim_e == 1 and loc.e_fixes_basis
-    target = module.coords({"112": C3.one, "121": -C3.q})
-    solver = SpanSolver()
-    solver.insert(target)
-    assert all(solver.contains(b) for b in loc.basis_coords)
-
-    module = weight_module(3, -1, C3)
-    loc = localize(module)
-    tgt = module.coords({"212": C3.one, "221": -C3.q})
-    solver = SpanSolver()
-    solver.insert(tgt)
-    assert loc.dim_e == 1
-    assert all(solver.contains(b) for b in loc.basis_coords)
+    # on M_3(+-1) the image of e is the line of the underline vector
+    for lam, target in ((1, {"112": C3.one, "121": -C3.q}),
+                        (-1, {"212": C3.one, "221": -C3.q})):
+        module = weight_module(3, lam, C3)
+        assert localized_dim(module) == 1
+        solver = SpanSolver()
+        solver.insert(module.coords(target))
+        assert all(solver.contains(col) for col in _e_matrix(module.U, C3))
 
 
 def test_localize_extremes_vanish():
     for n in (2, 3, 4, 5):
         for lam in (n, -n):
-            assert localize(weight_module(n, lam, C3)).dim_e == 0
+            assert localized_dim(weight_module(n, lam, C3)) == 0
     # at n = 1 there is no U_{n-1} besides the blob generator U_0
     with pytest.raises(ValueError):
-        localize(weight_module(1, -1, C3))
+        localized_dim(weight_module(1, -1, C3))
 
 
-def test_localized_generator_matrices_satisfy_blob_relations():
-    from blobtensor.blob import blob_relation_checks_matrices
+def test_localize_extremes_fail_on_a_nonzero_U(monkeypatch, tmp_path):
+    # raise g_{n-1} from q to q + 1 on the constant words, the bases of
+    # M_n(+-n): then U_{n-1} = 1 there, e != 0 and the point must fail
+    real = weightmod.op_T_ctx
 
-    loc = localize(weight_module(5, 1, C3))
-    assert loc.dim_e == comb(3, 1)
-    checks = blob_relation_checks_matrices(loc.gens, C3)
-    assert all(c.ok for c in checks)
+    def op_T(i, n, ctx):
+        op = real(i, n, ctx)
+        if i != n:
+            return op
+        return LinOp(n, ctx, lambda w: {w: ctx.q + ctx.one}
+                     if len(set(w)) == 1 else op.apply_word(w),
+                     name=op.name)
+
+    monkeypatch.setattr(weightmod, "op_T_ctx", op_T)
+    monkeypatch.setattr(weightmod, "weight_module",
+                        lru_cache(maxsize=None)(weightmod.WeightModule))
+    for lam in (3, -3):
+        assert localized_dim(weightmod.weight_module(3, lam, C3)) == 1
+    out = tmp_path / "localize.json"
+    assert main(["localize", "--n", "3", "--l", "0", "--m", "2", "--out",
+                 str(out)]) == 1
+    results = json.loads(out.read_text())["results"]
+    extremes = [r for r in results if abs(r["lambda"]) == 3]
+    assert [(r["dim_e"], r["localizes_to_zero"], r["ok"])
+            for r in extremes] == [(1, False, False)] * 2
+    # the interior weights have no constant word and still pass
+    assert all(r["ok"] for r in results if abs(r["lambda"]) < 3)
 
 
 def test_underline_map_explicit_image():
@@ -276,9 +291,3 @@ def test_trivial_relations_name_first_failure(monkeypatch):
     tl, _ = verify_trivial_relations(6, 0, C3)
     assert (tl.ok, tl.first_failure) == (False, "||12")
 
-
-def test_module_blob_relations_and_transpose():
-    for (n, lam, l, m) in ((4, 0, 0, 2), (5, 1, 5, 2), (4, 2, 7, 3)):
-        checks = verify_module_blob_relations(n, lam,
-                                              context(BlobParams(n, l, m)))
-        assert all(c.ok for c in checks), (n, lam, l, m)
