@@ -25,16 +25,17 @@ from .scalars import (BlobParams, ParameterError, check_params, check_size,
 
 
 def _parse_range(text):
+    # argparse shows the message of an ArgumentTypeError only
     if ".." in text:
         lo, hi = text.split("..")
         lo, hi = int(lo), int(hi)
         if hi < lo:
-            raise ValueError(f"empty range {text!r}")
+            raise argparse.ArgumentTypeError(f"empty range {text!r}")
         values = list(range(lo, hi + 1))
     else:
         values = [int(text)]
     if any(n < 1 for n in values):
-        raise ValueError("n must be positive")
+        raise argparse.ArgumentTypeError("n must be positive")
     return values
 
 

@@ -488,6 +488,68 @@ def cyclotomic_polynomial(l):
     return num
 
 
+def _reduction_rows(phi):
+    """x^k mod phi for k = deg .. 2*deg-2 (phi monic), each a tuple of deg
+    coefficients, by the recurrence x^(k+1) = x * x^k."""
+    deg = len(phi) - 1
+    row = [-c for c in phi[:-1]]
+    rows = [tuple(row)]
+    for _ in range(deg + 1, 2 * deg - 1):
+        top = row[-1]
+        row = [0] + row[:-1]
+        if top:
+            row = [r - top * c for r, c in zip(row, phi)]
+        rows.append(tuple(row))
+    return rows
+
+
+def _compile_product(deg, rows):
+    """A straight-line `product(a, b)` for coefficient tuples of length
+    deg: the high convolution terms c_s (s = deg .. 2*deg-2) are formed
+    once, and each output coefficient is its low convolution sum plus the
+    c_s weighted by column j of the reduction rows.  The result is exact
+    and bilinear in (a, b) by construction."""
+    def conv(s):
+        return " + ".join(f"a{i}*b{s - i}" for i in
+                          range(max(0, s - deg + 1), min(s, deg - 1) + 1))
+
+    high = range(deg, 2 * deg - 1)
+    lines = ["def product(a, b):",
+             f"    {', '.join(f'a{i}' for i in range(deg))}, = a",
+             f"    {', '.join(f'b{i}' for i in range(deg))}, = b"]
+    lines += [f"    c{s} = {conv(s)}" for s in high]
+    outs = []
+    for j in range(deg):
+        expr = conv(j)
+        for s, row in zip(high, rows):
+            w = row[j]
+            if w:
+                sign = " + " if w > 0 else " - "
+                expr += sign + ("" if abs(w) == 1 else f"{abs(w)}*") + f"c{s}"
+        outs.append(expr)
+    lines.append(f"    return ({', '.join(outs)},)")
+    namespace = {}
+    exec(compile("\n".join(lines), "<cyclotomic product>", "exec"), namespace)
+    return namespace["product"]
+
+
+def _certify_product(product, phi):
+    """A bilinear product is fixed by its values on the basis pairs
+    (q^i, q^j); compare each with the remainder of x^(i+j) on long
+    division by phi.  ArithmeticError on any mismatch."""
+    deg = len(phi) - 1
+    basis = [tuple(int(i == k) for k in range(deg)) for i in range(deg)]
+    for i in range(deg):
+        for j in range(deg):
+            rem = _prem((0,) * (i + j) + (1,), phi)
+            want = rem + (0,) * (deg - len(rem))
+            got = product(basis[i], basis[j])
+            if got != want:
+                raise ArithmeticError(
+                    f"product kernel for Phi = {phi} sends (q^{i}, q^{j}) "
+                    f"to {got}, not {want}")
+
+
 class CycScalar:
     """Element of Q[q]/Phi_l(q): integer coefficient vector over a common
     positive denominator, gcd(content, den) = 1."""
@@ -549,21 +611,14 @@ class CycScalar:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        f = self.field
-        prod = [0] * (2 * f.deg - 1)
-        for i, c in enumerate(self.num):
-            if c:
-                for j, d in enumerate(o.num):
-                    if d:
-                        prod[i + j] += c * d
-        out = prod[: f.deg]
-        for k in range(f.deg, 2 * f.deg - 1):
-            c = prod[k]
-            if c:
-                row = f.reduction[k]
-                for j, r in enumerate(row):
-                    out[j] += c * r
-        return f._make(out, self.den * o.den)
+        num = self.field._product(self.num, o.num)
+        den = self.den * o.den
+        # den > 0, and a zero product comes out as (0, ..., 0) over 1
+        g = math.gcd(den, *num)
+        if g > 1:
+            num = tuple(x // g for x in num)
+            den //= g
+        return CycScalar(self.field, num, den)
 
     __rmul__ = __mul__
 
@@ -615,26 +670,14 @@ class CyclotomicField:
         self.l = l
         self.phi = cyclotomic_polynomial(l)
         self.deg = len(self.phi) - 1
-        # reduction rows: x^k mod phi for k = deg .. 2*deg-2 (phi is monic)
-        red = {}
-        for k in range(self.deg, 2 * self.deg - 1):
-            if k == self.deg:
-                row = [-c for c in self.phi[:-1]]
-            else:
-                prev = red[k - 1]
-                row = [0] + prev[:-1]
-                top = prev[-1]
-                if top:
-                    for j in range(self.deg):
-                        row[j] += -top * self.phi[j]
-            red[k] = row
-        self.reduction = {k: tuple(v) for k, v in red.items()}
+        if self.deg < 2:
+            raise ValueError("cyclotomic backend requires l >= 3")
+        self._product = _compile_product(self.deg, _reduction_rows(self.phi))
+        _certify_product(self._product, self.phi)
         self.zero = CycScalar(self, (0,) * self.deg, 1)
         one = [0] * self.deg
         one[0] = 1
         self.one = CycScalar(self, tuple(one), 1)
-        if self.deg < 2:
-            raise ValueError("cyclotomic backend requires l >= 3")
         qv = [0] * self.deg
         qv[1] = 1
         self.q = CycScalar(self, tuple(qv), 1)
@@ -683,12 +726,11 @@ class CyclotomicField:
         if den < 0:
             num = [-x for x in num]
             den = -den
-        g = math.gcd(reduce(math.gcd, num, 0), den)
+        g = math.gcd(den, *num)
         if g > 1:
             num = [x // g for x in num]
             den //= g
-        num = list(num) + [0] * (self.deg - len(num))
-        return CycScalar(self, tuple(num[: self.deg]), den)
+        return CycScalar(self, tuple(num), den)
 
     def from_int(self, k):
         num = [0] * self.deg

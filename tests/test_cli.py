@@ -418,6 +418,16 @@ def test_malformed_lambda_fails_before_computing(value, monkeypatch, capsys):
         f"{value!r}\n")
 
 
+@pytest.mark.parametrize("value,reason", [("5..3", "empty range '5..3'"),
+                                          ("0", "n must be positive")])
+def test_bad_n_range_names_its_reason(value, reason, capsys):
+    rc = main(["restrict", "--n", value, "--l", "5", "--m", "2"])
+    captured = capsys.readouterr()
+    assert rc == 2 and captured.out == ""
+    assert captured.err.endswith(
+        f"blobtensor restrict: error: argument --n: {reason}\n")
+
+
 def test_size_cap_is_checked_before_the_first_point(monkeypatch, capsys):
     # n = 3 and 4 are within the cap, n = 5 is not: nothing is computed
     import blobtensor.cli as cli

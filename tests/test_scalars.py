@@ -183,17 +183,30 @@ def _sympy_coeffs(poly, q, deg):
     return coeffs + [Fraction(0)] * (deg - len(coeffs))
 
 
-small_cyc = st.sampled_from([3, 5, 7]).flatmap(
-    lambda l: st.tuples(
-        st.just(l),
-        *[st.tuples(st.lists(st.integers(-6, 6),
-                             min_size=cyclotomic_field(l).deg,
-                             max_size=cyclotomic_field(l).deg),
-                    st.integers(1, 12)) for _ in range(2)]))
+def _cyc_operand(deg):
+    # small and 70-bit coefficients (z-chain entries grow), and the zero
+    # vector over any denominator, whose products cancel to zero
+    coeff = st.one_of(st.integers(-6, 6), st.integers(-2 ** 70, 2 ** 70))
+    return st.tuples(
+        st.one_of(st.lists(coeff, min_size=deg, max_size=deg),
+                  st.just([0] * deg)),
+        st.one_of(st.integers(1, 12), st.integers(1, 2 ** 70)))
 
 
-@given(small_cyc)
-@settings(max_examples=80, deadline=None)
+# composite l: Phi_9, Phi_15 and Phi_21 are not 1 + q + ... + q^(l-1)
+oracle_cyc = st.sampled_from([3, 5, 7, 9, 15, 21]).flatmap(
+    lambda l: st.tuples(st.just(l),
+                        *[_cyc_operand(cyclotomic_field(l).deg)] * 2))
+
+
+def _assert_cyc_canonical(x):
+    assert len(x.num) == x.field.deg
+    assert x.den > 0
+    assert gcd(reduce(gcd, x.num, 0), x.den) == 1
+
+
+@given(oracle_cyc)
+@settings(max_examples=120, deadline=None)
 def test_cyclotomic_canonical_forms_match_sympy(elems):
     # products and sums against sympy's remainder modulo Phi_l; the
     # canonical (num, den) pair is fixed by the value, so compare it exactly
@@ -207,11 +220,16 @@ def test_cyclotomic_canonical_forms_match_sympy(elems):
 
     a, b = F._make(list(num_a), den_a), F._make(list(num_b), den_b)
     pa, pb = poly(num_a, den_a), poly(num_b, den_b)
-    for got, expr in ((a, pa), (a * b, pa * pb), (a + b, pa + pb),
-                      (a - b, pa - pb)):
+    for got, expr in ((a, pa), (a * b, pa * pb), (b * a, pa * pb),
+                      (a + b, pa + pb), (a - b, pa - pb)):
         oracle = sympy.rem(sympy.expand(expr), phi, q)
         want = _canonical_from_fractions(_sympy_coeffs(oracle, q, F.deg))
         assert (got.num, got.den) == want, (l, expr)
+        _assert_cyc_canonical(got)
+    # a product that cancels to zero is the canonical zero
+    for got in (a * b - b * a, a * b + a * (-b), a * F.zero):
+        assert (got.num, got.den) == ((0,) * F.deg, 1), l
+        _assert_cyc_canonical(got)
 
 
 def _generic_canonical(expr, q):
@@ -333,6 +351,38 @@ def test_cyclotomic_inverse_rejects_wrong_conjugates(monkeypatch):
                         lambda num, k: CycScalar(F, tuple(num), 1))
     with pytest.raises(ArithmeticError):
         (F.q + F.from_int(2)).inv()
+
+
+@pytest.mark.parametrize("l", [3, 5, 9, 15])
+def test_product_kernel_from_a_perturbed_row_is_rejected(l, monkeypatch):
+    # negative control for the construction-time certificate: a kernel
+    # compiled from reduction rows with one entry off by one must not
+    # produce a field, whichever row and entry is perturbed
+    from blobtensor.scalars import CyclotomicField
+
+    real = scalars_module._reduction_rows
+    rows = real(cyclotomic_polynomial(l))
+    CyclotomicField(l)      # the unperturbed rows pass
+    for r, row in enumerate(rows):
+        for j in range(len(row)):
+            bad = list(rows)
+            bad[r] = row[:j] + (row[j] + 1,) + row[j + 1:]
+            monkeypatch.setattr(scalars_module, "_reduction_rows",
+                                lambda phi, bad=bad: bad)
+            with pytest.raises(ArithmeticError, match="product kernel"):
+                CyclotomicField(l)
+
+
+@pytest.mark.parametrize("l", [1, 2])
+def test_degree_below_two_fails_before_any_kernel(l, monkeypatch):
+    from blobtensor.scalars import CyclotomicField
+
+    def never(*args):
+        raise AssertionError("a kernel was built for a degree-1 field")
+
+    monkeypatch.setattr(scalars_module, "_compile_product", never)
+    with pytest.raises(ValueError, match="l >= 3"):
+        CyclotomicField(l)
 
 
 def test_cross_backend_equality_is_type_error():
