@@ -24,27 +24,35 @@ from .scalars import (BlobParams, ParameterError, check_params, check_size,
                       context, _PARAM_MESSAGES)
 
 
+# argparse shows the message of an ArgumentTypeError; for any other error
+# it names the type function instead
+def _int(text):
+    try:
+        return int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid integer {text!r}") from None
+
+
 def _parse_range(text):
-    # argparse shows the message of an ArgumentTypeError only
     if ".." in text:
-        lo, hi = text.split("..")
-        lo, hi = int(lo), int(hi)
+        lo, _, hi = text.partition("..")
+        lo, hi = _int(lo), _int(hi)
         if hi < lo:
             raise argparse.ArgumentTypeError(f"empty range {text!r}")
         values = list(range(lo, hi + 1))
     else:
-        values = [int(text)]
+        values = [_int(text)]
     if any(n < 1 for n in values):
         raise argparse.ArgumentTypeError("n must be positive")
     return values
 
 
 def _parse_int_list(text):
-    return [int(p) for p in text.split(",") if p != ""]
+    return [_int(p) for p in text.split(",") if p != ""]
 
 
 def _parse_lambda(text):
-    return text if text == "all" else int(text)
+    return text if text == "all" else _int(text)
 
 
 def _lambda_values(lam, n):

@@ -165,16 +165,12 @@ def mat_scale(a, c):
 
 
 def mat_sub_scalar_diag(a, c):
-    """a - c * I.  Generator matrices repeat a few diagonal values, so each
-    distinct value is shifted once."""
-    shifted = {}
+    """a - c * I."""
     out = []
     for j, col in enumerate(a):
         col = dict(col)
         cur = col.get(j)
-        s = shifted.get(cur)
-        if s is None:
-            s = shifted[cur] = (cur - c) if cur is not None else -c
+        s = (cur - c) if cur is not None else -c
         if s.is_zero():
             col.pop(j, None)
         else:

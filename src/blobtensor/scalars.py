@@ -7,8 +7,13 @@ Two interchangeable backends:
 * cyclotomic(l) -- the field Q[q] / Phi_l(q) for odd l >= 3, so q is a genuine
   primitive l-th root of unity and zero-testing is exact.
 
-Every scalar is stored in a unique canonical form, so equality is a plain
-syntactic comparison.  Values are immutable and hashable.
+Every scalar is stored in a unique canonical form and interned in its field
+(hash-consing: J.-C. Filliatre and S. Conchon, "Type-safe modular
+hash-consing", ML Workshop 2006): the constructor returns the one object
+the field holds for that form, so between scalars of one field equality is
+identity.  Values are immutable and hash by identity.  Products, sums,
+negatives and inverses are memo functions (D. Michie, Nature 218, 1968) on
+the interned objects: each is computed once per field and operand pair.
 
 >>> q = GENERIC.q
 >>> (q - q.inv()) * (q - q.inv()).inv() == GENERIC.one
@@ -277,14 +282,25 @@ class GenericScalar:
     stay nonzero (n1 g1 = na, and so on) and d1 d2 keeps a positive leading
     coefficient.  Only the integer contents may still share a factor, and
     dividing both sides by it gives the canonical form.
+
+    Values are interned in GENERIC, which also memoizes the operations (see
+    the module docstring).
     """
 
     __slots__ = ("shift", "num", "den")
 
-    def __init__(self, shift, num, den):
-        self.shift = shift
-        self.num = num
-        self.den = den
+    def __new__(cls, shift, num, den):
+        """The interned scalar for the canonical triple (shift, num, den),
+        num and den tuples."""
+        values = GENERIC._values
+        key = (shift, num, den)
+        x = values.get(key)
+        if x is None:
+            x = values[key] = object.__new__(cls)
+            x.shift = shift
+            x.num = num
+            x.den = den
+        return x
 
     @staticmethod
     def make(shift, num, den):
@@ -293,7 +309,7 @@ class GenericScalar:
         if not den:
             raise ZeroDivisionError("zero denominator")
         if not num:
-            return _GENERIC_ZERO
+            return GENERIC.zero
         i = 0
         while num[i] == 0:
             i += 1
@@ -329,16 +345,14 @@ class GenericScalar:
 
     def __eq__(self, other):
         if isinstance(other, GenericScalar):
-            return (self.shift == other.shift and self.num == other.num
-                    and self.den == other.den)
+            return self is other
         if isinstance(other, int):
-            return self == GENERIC.from_int(other)
+            return self is GENERIC.from_int(other)
         if isinstance(other, CycScalar):
             raise TypeError("cannot compare scalars from different backends")
         return NotImplemented
 
-    def __hash__(self):
-        return hash((self.shift, self.num, self.den))
+    __hash__ = object.__hash__
 
     # -- arithmetic ---------------------------------------------------------
 
@@ -350,9 +364,19 @@ class GenericScalar:
         return None
 
     def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
+        sums = GENERIC._sums
+        key = (self, other)
+        x = sums.get(key)
+        if x is None:
+            o = self._coerce(other)
+            if o is None:
+                return NotImplemented
+            x = sums[key] = self._plus(o)
+        return x
+
+    __radd__ = __add__
+
+    def _plus(self, o):
         if not self.num:
             return o
         if not o.num:
@@ -364,20 +388,34 @@ class GenericScalar:
         b = (0,) * (o.shift - low) + b
         return GenericScalar.make(low, _padd(a, b), _pmul(self.den, o.den))
 
-    __radd__ = __add__
-
     def __neg__(self):
-        return GenericScalar(self.shift, _pneg(self.num), self.den)
+        negatives = GENERIC._negatives
+        x = negatives.get(self)
+        if x is None:
+            x = negatives[self] = GenericScalar(self.shift, _pneg(self.num),
+                                                self.den)
+            negatives[x] = self
+        return x
 
     __sub__ = _sub
     __rsub__ = _rsub
 
     def __mul__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
+        products = GENERIC._products
+        key = (self, other)
+        x = products.get(key)
+        if x is None:
+            o = self._coerce(other)
+            if o is None:
+                return NotImplemented
+            x = products[key] = self._times(o)
+        return x
+
+    __rmul__ = __mul__
+
+    def _times(self, o):
         if not self.num or not o.num:
-            return _GENERIC_ZERO
+            return GENERIC.zero
         # Henrici: after cross-cancellation only the contents can still
         # share a factor (see the class docstring)
         g1 = _pgcd(self.num, o.den)
@@ -394,15 +432,18 @@ class GenericScalar:
             den = tuple(x // c for x in den)
         return GenericScalar(self.shift + o.shift, num, den)
 
-    __rmul__ = __mul__
-
     def inv(self):
-        if not self.num:
-            raise ZeroDivisionError("inverting zero scalar")
-        num, den = self.den, self.num
-        if den[-1] < 0:
-            num, den = _pneg(num), _pneg(den)
-        return GenericScalar(-self.shift, num, den)
+        inverses = GENERIC._inverses
+        x = inverses.get(self)
+        if x is None:
+            if not self.num:
+                raise ZeroDivisionError("inverting zero scalar")
+            num, den = self.den, self.num
+            if den[-1] < 0:
+                num, den = _pneg(num), _pneg(den)
+            x = inverses[self] = GenericScalar(-self.shift, num, den)
+            inverses[x] = self
+        return x
 
     __truediv__ = _truediv
     __rtruediv__ = _rtruediv
@@ -426,22 +467,36 @@ class GenericScalar:
         return f"GenericScalar({str(self)!r})"
 
 
-_GENERIC_ZERO = GenericScalar(0, (), (1,))
-
-
 class GenericField:
-    """The generic backend: fraction field of Z[q, q^-1]."""
+    """The generic backend: fraction field of Z[q, q^-1].  It holds the
+    interned scalars by (shift, num, den) and the memoized operations on
+    them; GENERIC is its one instance."""
 
     name = "generic"
     l = 0
 
     def __init__(self):
-        self.zero = _GENERIC_ZERO
-        self.one = GenericScalar(0, (1,), (1,))
-        self.q = GenericScalar(1, (1,), (1,))
+        self._values = {}
+        self._products = {}
+        self._sums = {}
+        self._negatives = {}
+        self._inverses = {}
         # 7 is a primitive root mod 2^31 - 1, so no q^k - 1 with
         # 0 < k < p - 1 vanishes
         self.modular = ModularMap(2 ** 31 - 1, 7)
+
+    # the constructor interns into GENERIC, which must exist first
+    @cached_property
+    def zero(self):
+        return GenericScalar(0, (), (1,))
+
+    @cached_property
+    def one(self):
+        return GenericScalar(0, (1,), (1,))
+
+    @cached_property
+    def q(self):
+        return GenericScalar(1, (1,), (1,))
 
     def from_int(self, k):
         if k == 0:
@@ -552,35 +607,43 @@ def _certify_product(product, phi):
 
 class CycScalar:
     """Element of Q[q]/Phi_l(q): integer coefficient vector over a common
-    positive denominator, gcd(content, den) = 1."""
+    positive denominator, gcd(content, den) = 1.  Interned in its field,
+    which also memoizes the operations (see the module docstring)."""
 
     __slots__ = ("field", "num", "den")
 
-    def __init__(self, field, num, den):
-        self.field = field
-        self.num = num
-        self.den = den
+    def __new__(cls, field, num, den):
+        """The interned scalar of `field` for the canonical pair (num, den),
+        num a tuple."""
+        values = field._values
+        key = (num, den)
+        x = values.get(key)
+        if x is None:
+            x = values[key] = object.__new__(cls)
+            x.field = field
+            x.num = num
+            x.den = den
+        return x
 
     def is_zero(self):
-        return not any(self.num)
+        return self is self.field.zero
 
     def __bool__(self):
-        return any(self.num)
+        return self is not self.field.zero
 
     def __eq__(self, other):
         if isinstance(other, CycScalar):
             if self.field is not other.field:
                 raise TypeError(
                     "cannot compare scalars from different cyclotomic fields")
-            return self.num == other.num and self.den == other.den
+            return self is other
         if isinstance(other, int):
-            return self == self.field.from_int(other)
+            return self is self.field.from_int(other)
         if isinstance(other, GenericScalar):
             raise TypeError("cannot compare scalars from different backends")
         return NotImplemented
 
-    def __hash__(self):
-        return hash((self.field.l, self.num, self.den))
+    __hash__ = object.__hash__
 
     def _coerce(self, other):
         if isinstance(other, CycScalar):
@@ -592,25 +655,46 @@ class CycScalar:
         return None
 
     def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        da, db = self.den, o.den
-        num = [x * db + y * da for x, y in zip(self.num, o.num)]
-        return self.field._make(num, da * db)
+        sums = self.field._sums
+        key = (self, other)
+        x = sums.get(key)
+        if x is None:
+            o = self._coerce(other)
+            if o is None:
+                return NotImplemented
+            da, db = self.den, o.den
+            num = [a * db + b * da for a, b in zip(self.num, o.num)]
+            x = sums[key] = self.field._make(num, da * db)
+        return x
 
     __radd__ = __add__
 
     def __neg__(self):
-        return CycScalar(self.field, tuple(-x for x in self.num), self.den)
+        negatives = self.field._negatives
+        x = negatives.get(self)
+        if x is None:
+            x = negatives[self] = CycScalar(
+                self.field, tuple(-c for c in self.num), self.den)
+            negatives[x] = self
+        return x
 
     __sub__ = _sub
     __rsub__ = _rsub
 
     def __mul__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
+        products = self.field._products
+        key = (self, other)
+        x = products.get(key)
+        if x is None:
+            o = self._coerce(other)
+            if o is None:
+                return NotImplemented
+            x = products[key] = self._times(o)
+        return x
+
+    __rmul__ = __mul__
+
+    def _times(self, o):
         num = self.field._product(self.num, o.num)
         den = self.den * o.den
         # den > 0, and a zero product comes out as (0, ..., 0) over 1
@@ -620,8 +704,6 @@ class CycScalar:
             den //= g
         return CycScalar(self.field, num, den)
 
-    __rmul__ = __mul__
-
     def inv(self):
         """Inverse by the Galois norm, in integers only.
 
@@ -629,18 +711,23 @@ class CycScalar:
         Q[q]/Phi_l(q), the conjugate product P = prod_{k in (Z/l)*, k != 1}
         sigma_k(num) satisfies num * P = N(num), the field norm, a nonzero
         rational integer.  Hence a^-1 = den * P / N(num)."""
-        if self.is_zero():
-            raise ZeroDivisionError("inverting zero scalar")
         f = self.field
-        others = f.units[1:]
-        conj = f._galois(self.num, others[0])
-        for k in others[1:]:
-            conj = conj * f._galois(self.num, k)
-        norm = CycScalar(f, self.num, 1) * conj
-        if any(norm.num[1:]):
-            raise ArithmeticError(
-                f"Galois norm of {self!r} is not a rational constant")
-        return f._make([x * self.den for x in conj.num], norm.num[0])
+        x = f._inverses.get(self)
+        if x is None:
+            if self.is_zero():
+                raise ZeroDivisionError("inverting zero scalar")
+            others = f.units[1:]
+            conj = f._galois(self.num, others[0])
+            for k in others[1:]:
+                conj = f._product(conj, f._galois(self.num, k))
+            norm = f._product(self.num, conj)
+            if any(norm[1:]):
+                raise ArithmeticError(
+                    f"Galois norm of {self!r} is not a rational constant")
+            x = f._inverses[self] = f._make([c * self.den for c in conj],
+                                            norm[0])
+            f._inverses[x] = self
+        return x
 
     __truediv__ = _truediv
     __rtruediv__ = _rtruediv
@@ -674,6 +761,12 @@ class CyclotomicField:
             raise ValueError("cyclotomic backend requires l >= 3")
         self._product = _compile_product(self.deg, _reduction_rows(self.phi))
         _certify_product(self._product, self.phi)
+        # the interned scalars by (num, den), and the memoized operations
+        self._values = {}
+        self._products = {}
+        self._sums = {}
+        self._negatives = {}
+        self._inverses = {}
         self.zero = CycScalar(self, (0,) * self.deg, 1)
         one = [0] * self.deg
         one[0] = 1
@@ -711,14 +804,14 @@ class CyclotomicField:
 
     def _galois(self, num, k):
         """sigma_k(num) for the automorphism q -> q^k; num is an integer
-        coefficient vector, and so is the result (denominator 1)."""
+        coefficient vector, and so is the result."""
         out = [0] * self.deg
         for i, c in enumerate(num):
             if c:
                 for j, r in enumerate(self._qpow[(i * k) % self.l].num):
                     if r:
                         out[j] += c * r
-        return CycScalar(self, tuple(out), 1)
+        return tuple(out)
 
     def _make(self, num, den):
         if den == 0:

@@ -414,18 +414,35 @@ def test_malformed_lambda_fails_before_computing(value, monkeypatch, capsys):
     captured = capsys.readouterr()
     assert rc == 2 and captured.out == ""
     assert captured.err.endswith(
-        f"error: argument --lambda: invalid _parse_lambda value: "
-        f"{value!r}\n")
+        f"error: argument --lambda: invalid integer {value!r}\n")
 
 
 @pytest.mark.parametrize("value,reason", [("5..3", "empty range '5..3'"),
-                                          ("0", "n must be positive")])
+                                          ("0", "n must be positive"),
+                                          ("3.5", "invalid integer '3.5'"),
+                                          ("2..x", "invalid integer 'x'"),
+                                          ("1..2..3",
+                                           "invalid integer '2..3'")])
 def test_bad_n_range_names_its_reason(value, reason, capsys):
     rc = main(["restrict", "--n", value, "--l", "5", "--m", "2"])
     captured = capsys.readouterr()
     assert rc == 2 and captured.out == ""
     assert captured.err.endswith(
         f"blobtensor restrict: error: argument --n: {reason}\n")
+
+
+@pytest.mark.parametrize("option,value,token", [("--m", "x", "x"),
+                                                ("--m", "2,x", "x"),
+                                                ("--l", "5,1.5", "1.5")])
+def test_malformed_list_names_the_token(option, value, token, capsys):
+    # the message names the token, not a private parser function
+    args = {"--n": "3", "--l": "5", "--m": "2", option: value}
+    rc = main(["restrict"] + [a for pair in args.items() for a in pair])
+    captured = capsys.readouterr()
+    assert rc == 2 and captured.out == ""
+    assert captured.err.endswith(
+        f"blobtensor restrict: error: argument {option}: "
+        f"invalid integer {token!r}\n")
 
 
 def test_size_cap_is_checked_before_the_first_point(monkeypatch, capsys):
@@ -557,12 +574,13 @@ def test_well_formed_grids_never_fail(argv):
         assert report["results"] == [] and report["skipped"] == [], argv
 
 
-def test_reports_match_benchmark_digests(tmp_path):
-    # the benchmark's pinned report bytes, first m of each workload
+def _check_benchmark_digests(names, out):
+    """Run the commands of each named workload at the first m of its pool
+    and compare the reports with the benchmark's pinned sha256."""
     workloads = json.loads((PERFBENCH / "workloads.json").read_text())
     digests = json.loads((PERFBENCH / "digests.json").read_text())
-    out = tmp_path / "report.json"
-    for name, spec in workloads.items():
+    for name in names:
+        spec = workloads[name]
         m = spec["m_pool"][0]
         pins = digests[name][str(m)]
         assert len(pins) == len(spec["commands"]), name
@@ -573,6 +591,27 @@ def test_reports_match_benchmark_digests(tmp_path):
             data = out.read_bytes()
             assert len(json.loads(data)["results"]) == pin["points"], argv
             assert hashlib.sha256(data).hexdigest() == pin["sha256"], argv
+
+
+def test_reports_match_benchmark_digests(tmp_path):
+    # the benchmark's pinned report bytes, first m of each workload
+    workloads = json.loads((PERFBENCH / "workloads.json").read_text())
+    _check_benchmark_digests(list(workloads), tmp_path / "report.json")
+
+
+def test_warm_scalar_tables_leave_reports_unchanged(tmp_path):
+    # the interned scalars and memoized field operations carry no state
+    # from one run to the next: run again in the same process, with every
+    # table warm, the commands write the same bytes, and the second run
+    # computes no new value
+    from blobtensor.scalars import GENERIC, cyclotomic_field
+
+    names = ["adjoint-cyc", "relations"]
+    fields = [GENERIC, cyclotomic_field(5), cyclotomic_field(7)]
+    _check_benchmark_digests(names, tmp_path / "report.json")
+    sizes = [len(f._values) for f in fields]
+    _check_benchmark_digests(names, tmp_path / "report.json")
+    assert [len(f._values) for f in fields] == sizes
 
 
 # sha256 of stdout, the stderr text and the exit code of every command, run

@@ -4,6 +4,7 @@ import doctest
 import sys
 from fractions import Fraction
 from functools import reduce
+from itertools import islice
 from math import gcd
 
 import pytest
@@ -324,18 +325,24 @@ def test_generic_products_with_cross_factors_are_canonical(
 
 
 def test_cross_factor_products_need_the_cross_gcds(monkeypatch):
-    # negative control: with the cross-cancellation gone from __mul__ (and
-    # only there: the operands are still built by make), the products of the
-    # test above keep the common factor q - 1 and the test must fail
+    # negative control: with the cross-cancellation gone from _times, which
+    # computes a product on a memo miss (and only there: the operands are
+    # still built by make), the products of the test above keep the common
+    # factor q - 1 and the test must fail.  The memos start empty so that
+    # the product is computed, and the mutant's values go to a copy of the
+    # intern table that is dropped afterwards.
     real = scalars_module._pgcd
 
     def no_cross_gcd(a, b):
-        if sys._getframe(1).f_code.co_name == "__mul__":
+        if sys._getframe(1).f_code.co_name == "_times":
             return (1,)
         return real(a, b)
 
     check = test_generic_products_with_cross_factors_are_canonical
     check.hypothesis.inner_test(1, [1], [1], -2, [3], [1, 1])
+    monkeypatch.setattr(GENERIC, "_values", dict(GENERIC._values))
+    for memo in ("_products", "_sums", "_negatives", "_inverses"):
+        monkeypatch.setattr(GENERIC, memo, {})
     monkeypatch.setattr(scalars_module, "_pgcd", no_cross_gcd)
     with pytest.raises(AssertionError):
         check.hypothesis.inner_test(1, [1], [1], -2, [3], [1, 1])
@@ -343,14 +350,91 @@ def test_cross_factor_products_need_the_cross_gcds(monkeypatch):
 
 def test_cyclotomic_inverse_rejects_wrong_conjugates(monkeypatch):
     # negative control: with sigma_k replaced by the identity the conjugate
-    # product is no longer the norm cofactor, and inv must refuse
-    from blobtensor.scalars import CycScalar
+    # product is no longer the norm cofactor, and inv must refuse; a fresh
+    # field has no memoized inverse to answer from
+    from blobtensor.scalars import CyclotomicField
 
-    F = cyclotomic_field(5)
-    monkeypatch.setattr(F, "_galois",
-                        lambda num, k: CycScalar(F, tuple(num), 1))
+    F = CyclotomicField(5)
+    monkeypatch.setattr(F, "_galois", lambda num, k: tuple(num))
     with pytest.raises(ArithmeticError):
         (F.q + F.from_int(2)).inv()
+
+
+def _assert_interned(field, entries):
+    """Each (key, value) entry of the field's intern table sits under its
+    own canonical form, and every memo answer is an interned value."""
+    for key, x in entries:
+        if field is GENERIC:
+            assert key == (x.shift, x.num, x.den)
+            if x.num:
+                _assert_canonical(x)
+            else:
+                assert key == (0, (), (1,))
+        else:
+            assert key == (x.num, x.den) and x.field is field
+            _assert_cyc_canonical(x)
+
+
+def _assert_memos_interned(field):
+    values = field._values
+    for memo in (field._products, field._sums, field._negatives,
+                 field._inverses):
+        for x in memo.values():
+            key = ((x.shift,) if field is GENERIC else ()) + (x.num, x.den)
+            assert values[key] is x
+
+
+def _interning_operand(field, data):
+    """A scalar of `field` and a second, non-canonical spelling of it:
+    (shift, num, den) for make, or (num, den) for _make."""
+    k = data.draw(st.integers(-3, 3).filter(bool))
+    if field is GENERIC:
+        shift, num, den = data.draw(generic_elems)
+        x = GenericScalar.make(shift, tuple(num), tuple(den))
+        return x, (shift - 1, (0,) + tuple(k * c for c in num),
+                   tuple(k * c for c in den))
+    num = data.draw(st.lists(st.integers(-6, 6), min_size=field.deg,
+                             max_size=field.deg))
+    den = data.draw(st.integers(1, 12))
+    return field._make(list(num), den), ([k * c for c in num], k * den)
+
+
+interning_fields = st.sampled_from([0, 5, 7]).map(
+    lambda l: GENERIC if l == 0 else cyclotomic_field(l))
+
+
+@given(interning_fields, st.data())
+@settings(max_examples=120, deadline=None)
+def test_equal_values_are_one_object(field, data):
+    # hash-consing: whatever route reaches a value returns the one object
+    # the field's table holds for it, so equality can be identity
+    start = len(field._values)
+    make = GenericScalar.make if field is GENERIC else field._make
+    a, spelling = _interning_operand(field, data)
+    b, _ = _interning_operand(field, data)
+    assert make(*spelling) is a
+    assert field.parse(field.serialize(a)) is a
+    assert a * b is b * a
+    assert (a + b) - b is a
+    assert -(-a) is a and a - a is field.zero
+    results = [a * b, a + b, a - b, -a, a * 3, 2 + a]
+    if a:
+        results += [a.inv(), b / a]
+        assert a.inv().inv() is a and a * a.inv() is field.one
+    for x in results:
+        assert field.parse(field.serialize(x)) is x
+    _assert_interned(field, islice(field._values.items(), start, None))
+
+
+def test_every_interned_value_is_canonical():
+    # the tables as the session has filled them, plus a fresh field's
+    from blobtensor.scalars import CyclotomicField
+
+    fresh = CyclotomicField(7)
+    (fresh.q + fresh.from_int(3)).inv() * fresh.q ** 4
+    for field in (GENERIC, cyclotomic_field(5), cyclotomic_field(7), fresh):
+        _assert_interned(field, field._values.items())
+        _assert_memos_interned(field)
 
 
 @pytest.mark.parametrize("l", [3, 5, 9, 15])
