@@ -4,6 +4,17 @@ Vectors are dicts {index: scalar} with no stored zeros; matrices are lists of
 column dicts (column j maps row index -> scalar).  Everything is elimination
 based and division-exact; there are no tolerances anywhere.
 
+The kernels below (`vec_add_scaled`, `vec_scale`, `vec_sub`, `mat_vec`,
+`mat_mul`, `mat_sub_scalar_diag` and the reduction of `SpanSolver`) take
+their operands from one field.  Every product c * x and sum cur + p is read
+from that field's memo tables (`scalars.memos`), keyed by the operand pair;
+only a miss goes through the scalar operator, which computes and stores the
+result and raises TypeError on operands of another field.  A sum that is the
+field's zero object removes its entry.  Scalars are interned, so two vectors
+or matrices are equal exactly when they are `==` as dicts or lists: the
+containers compare values by identity first, and distinct scalars of one
+field are unequal.
+
 Ranks may also be read over F_p, through a field's `ModularMap`, on vectors
 of residues: a rank mod p is only a lower bound, so `certified_rank`
 accepts it only with an exact annihilator certificate and otherwise returns
@@ -12,6 +23,8 @@ None, leaving the exact elimination to decide.
 
 from __future__ import annotations
 
+from .scalars import memos
+
 
 # ---------------------------------------------------------------------------
 # sparse vectors
@@ -19,15 +32,21 @@ from __future__ import annotations
 
 def vec_add_scaled(acc, v, c):
     """acc += c * v in place (acc a dict, never aliased with v)."""
-    if c.is_zero():
+    products, sums, zero = memos(c)
+    if c is zero:
         return acc
     for i, x in v.items():
+        p = products.get((c, x))
+        if p is None:
+            p = c * x
         cur = acc.get(i)
         if cur is None:
-            acc[i] = c * x
+            acc[i] = p
         else:
-            s = cur + c * x
-            if s.is_zero():
+            s = sums.get((cur, p))
+            if s is None:
+                s = cur + p
+            if s is zero:
                 del acc[i]
             else:
                 acc[i] = s
@@ -35,34 +54,35 @@ def vec_add_scaled(acc, v, c):
 
 
 def vec_scale(v, c):
-    if c.is_zero():
+    products, _, zero = memos(c)
+    if c is zero:
         return {}
-    return {i: c * x for i, x in v.items()}
+    out = {}
+    for i, x in v.items():
+        p = products.get((c, x))
+        out[i] = c * x if p is None else p
+    return out
 
 
 def vec_sub(a, b):
     out = dict(a)
+    if not b:
+        return out
+    _, sums, zero = memos(next(iter(b.values())))
     for i, x in b.items():
+        x = -x
         cur = out.get(i)
         if cur is None:
-            out[i] = -x
+            out[i] = x
         else:
-            s = cur - x
-            if s.is_zero():
+            s = sums.get((cur, x))
+            if s is None:
+                s = cur + x
+            if s is zero:
                 del out[i]
             else:
                 out[i] = s
     return out
-
-
-def vec_eq(a, b):
-    if len(a) != len(b):
-        return False
-    for i, x in a.items():
-        y = b.get(i)
-        if y is None or x != y:
-            return False
-    return True
 
 
 # ---------------------------------------------------------------------------
@@ -89,25 +109,18 @@ class SpanSolver:
         self.relation = None
 
     def _reduce(self, vec, combo=None):
+        # subtracting c times the row of pivot i cancels vec[i] = c against
+        # the row's coefficient one, so the kernel removes that entry too
         vec = dict(vec)
         while vec:
             i = min(vec)
             row = self.rows.get(i)
             if row is None:
                 return i, vec, combo
-            c = vec[i]
-            del vec[i]
-            for j, x in row.items():
-                if j == i:
-                    continue
-                cur = vec.get(j)
-                s = (cur - c * x) if cur is not None else -(c * x)
-                if s.is_zero():
-                    vec.pop(j, None)
-                else:
-                    vec[j] = s
+            c = -vec[i]
+            vec_add_scaled(vec, row, c)
             if combo is not None:
-                vec_add_scaled(combo, self.combos[i], -c)
+                vec_add_scaled(combo, self.combos[i], c)
         return None, vec, combo
 
     def insert(self, vec, tag=None):
@@ -119,10 +132,8 @@ class SpanSolver:
         if piv is None:
             self.relation = combo
             return False
-        c = red[piv]
-        cinv = c.inv()
-        row = {j: cinv * x for j, x in red.items()}
-        self.rows[piv] = row
+        cinv = red[piv].inv()
+        self.rows[piv] = vec_scale(red, cinv)
         if combo is not None:
             self.combos[piv] = vec_scale(combo, cinv)
         self.rank += 1
@@ -148,16 +159,45 @@ def mat_identity(dim, one):
     return [{i: one} for i in range(dim)]
 
 
-def mat_vec(cols, v):
-    out = {}
-    for i, c in v.items():
-        vec_add_scaled(out, cols[i], c)
+def _columns(a, b):
+    """The columns of a @ b, column by column in one loop (F. G. Gustavson,
+    ACM TOMS 4(3), 1978).  `mat_vec` calls this rather than `mat_mul`, so
+    that a trace of `mat_mul` (perfbench/layers.py) counts matrix products
+    only."""
+    first = next((c for col in b for c in col.values()), None)
+    if first is None:
+        return [{} for _ in b]
+    products, sums, zero = memos(first)
+    out = []
+    for col in b:
+        acc = {}
+        for k, c in col.items():
+            for i, x in a[k].items():
+                p = products.get((c, x))
+                if p is None:
+                    p = c * x
+                cur = acc.get(i)
+                if cur is None:
+                    acc[i] = p
+                else:
+                    s = sums.get((cur, p))
+                    if s is None:
+                        s = cur + p
+                    if s is zero:
+                        del acc[i]
+                    else:
+                        acc[i] = s
+        out.append(acc)
     return out
+
+
+def mat_vec(cols, v):
+    return _columns(cols, (v,))[0]
 
 
 def mat_mul(a, b):
     """Matrix product a @ b, both lists of column dicts."""
-    return [mat_vec(a, col) for col in b]
+    return _columns(a, b)
 
 
 def mat_scale(a, c):
@@ -166,21 +206,25 @@ def mat_scale(a, c):
 
 def mat_sub_scalar_diag(a, c):
     """a - c * I."""
+    _, sums, zero = memos(c)
+    c = -c
     out = []
     for j, col in enumerate(a):
         col = dict(col)
         cur = col.get(j)
-        s = (cur - c) if cur is not None else -c
-        if s.is_zero():
-            col.pop(j, None)
+        if cur is None:
+            if c is not zero:
+                col[j] = c
         else:
-            col[j] = s
+            s = sums.get((cur, c))
+            if s is None:
+                s = cur + c
+            if s is zero:
+                del col[j]
+            else:
+                col[j] = s
         out.append(col)
     return out
-
-
-def mat_eq(a, b):
-    return len(a) == len(b) and all(vec_eq(x, y) for x, y in zip(a, b))
 
 
 def mat_is_zero(a):

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .linalg import (mat_identity, mat_mul, mat_sub_scalar_diag,
-                     vec_add_scaled, vec_eq)
+                     vec_add_scaled)
 
 
 @dataclass(frozen=True)
@@ -133,9 +133,10 @@ def evaluate(relations, blocks, one):
         for k, rel in enumerate(relations):
             lhs = _side(rel.lhs, mats, products, dim, one)
             rhs = _side(rel.rhs, mats, products, dim, one)
-            bad = min((basis[j] for j in range(dim)
-                       if not vec_eq(lhs[j], rhs[j])), default=None)
-            if bad is not None and (witness[k] is None or bad < witness[k]):
+            if lhs == rhs:
+                continue
+            bad = min(basis[j] for j in range(dim) if lhs[j] != rhs[j])
+            if witness[k] is None or bad < witness[k]:
                 witness[k] = bad
     return [RelationCheck(rel.name, bad is None, bad)
             for rel, bad in zip(relations, witness)]

@@ -856,6 +856,21 @@ def cyclotomic_field(l):
     return CyclotomicField(l)
 
 
+def memos(x):
+    """(products, sums, zero) of the field holding the scalar x: the memo
+    tables that `x * y` and `x + y` read under the key (x, y), and the
+    field's zero object.  The tables hold only what the operators stored,
+    so a caller that misses must go through the operator, which computes,
+    stores and checks the operands' fields."""
+    if isinstance(x, CycScalar):
+        f = x.field
+    elif isinstance(x, GenericScalar):
+        f = GENERIC
+    else:
+        raise TypeError(f"not a scalar of this package: {x!r}")
+    return f._products, f._sums, f.zero
+
+
 def specialize(x, field):
     """Push a generic scalar into a cyclotomic field (ring homomorphism
     q -> primitive l-th root).  Raises ZeroDivisionError if the denominator

@@ -27,9 +27,8 @@ from functools import lru_cache
 
 from .blob import (MatrixRep, ariki_koike_checks_matrices,
                    blob_relation_checks_matrices, dualize)
-from .linalg import (certified_rank, invariant_closure, mat_eq,
-                     mat_sub_scalar_diag, mat_vec, span_rank, vec_add_scaled,
-                     vec_eq)
+from .linalg import (certified_rank, invariant_closure, mat_sub_scalar_diag,
+                     mat_vec, span_rank, vec_add_scaled)
 from .scalars import context, residues_equal
 from .tensor import Relation, RelationCheck, evaluate, ops_Xk_ctx, word
 from .weightmod import (WeightLabel, _adjointness_injective,
@@ -222,7 +221,7 @@ def verify_gi_quadratic_on_bitableaux(shape, ctx):
         expect = {}
         vec_add_scaled(expect, gi_action(i, t, ctx), ctx.q_minus_qinv)
         vec_add_scaled(expect, {t: ctx.one}, ctx.one)
-        return vec_eq(acc, expect)
+        return acc == expect
 
     bad = next((f"i={i}" for i in range(1, shape.n) for t in tabs
                 if not holds(i, t)), None)
@@ -252,8 +251,8 @@ def xi_bitableau_eigenvalue_checks(n1, n2, ctx):
     rep = build_S_prime(n1, n2, ctx)
     j = rep.labels.index(special_col_bitableau(n1, n2))
     return [RelationCheck(f"Xi_bitableau_eigenvalue(i={i})",
-                          vec_eq(mat_vec(xi, {j: ctx.one}),
-                                 {j: _xi_eigenvalue(i, n2, ctx)}))
+                          mat_vec(xi, {j: ctx.one})
+                          == {j: _xi_eigenvalue(i, n2, ctx)})
             for i, xi in enumerate(rep.xk, start=1)]
 
 
@@ -264,8 +263,8 @@ def verify_dualize_properties(n1, n2, ctx):
     dual = dualize(rep)
     back = dualize(dual)
     checks = [RelationCheck("dualize_involution",
-                            mat_eq(back.x, rep.x) and all(
-                                mat_eq(back.g[i], rep.g[i]) for i in rep.g))]
+                            back.x == rep.x and all(
+                                back.g[i] == rep.g[i] for i in rep.g))]
     checks += ariki_koike_checks_matrices(dual.x, dual.g, ctx, "dual:")
     checks += blob_relation_checks_matrices(dual.U, ctx, "dual_blob:")
     for lam_val, tag in ((ctx.lam1, "lam1"), (ctx.lam2, "lam2")):

@@ -21,8 +21,8 @@ from dataclasses import dataclass
 from math import comb
 
 from .blob import MatrixRep
-from .linalg import (mat_eq, mat_is_zero, mat_mul, mat_sub_scalar_diag,
-                     mat_vec, nullspace, vec_eq)
+from .linalg import (mat_is_zero, mat_mul, mat_sub_scalar_diag, mat_vec,
+                     nullspace)
 from .tensor import RelationCheck, op_T_ctx, op_X_ctx
 from .weightmod import WeightLabel, lambda_range, weight_basis, weight_module
 
@@ -85,7 +85,7 @@ def restriction_sequence(n, lam, ctx):
                 dropped = {u[:-1]: c for u, c in img_words.items()
                            if u[-1] == last}
                 expect = small.words(small.U[i][small.index[w[:-1]]])
-                if not vec_eq(dropped, expect):
+                if dropped != expect:
                     intertwines[last] = False
 
     dims_match = (len(sub_words) == small_minus.dim
@@ -137,8 +137,8 @@ def verify_central_z(n, lam, ctx):
     module = weight_module(n, lam, ctx)
     zmat = z_matrix(n, module)
     expect = z_scalar_formula(module.label, ctx)
-    scalar_ok = all(vec_eq(zmat[j], {j: expect}) for j in range(module.dim))
-    central = scalar_ok or all(mat_eq(mat_mul(zmat, u), mat_mul(u, zmat))
+    scalar_ok = all(zmat[j] == {j: expect} for j in range(module.dim))
+    central = scalar_ok or all(mat_mul(zmat, u) == mat_mul(u, zmat)
                                for u in module.U)
     return CentralScalarReport(n, lam, scalar_ok, central)
 
@@ -192,8 +192,8 @@ def splitting_check(n, lam, ctx):
         complement = _wall_complement_search(zmat, s_minus)
         return SplittingResult(n, lam, True, "undetermined", None, expected,
                                None, complement)
-    # each eigenspace ker(z - s) is b_{n-1}-invariant iff (z - s) g v = 0
-    # for every kernel vector v and every generator g
+    # each eigenspace ker(z - s) is b_{n-1}-invariant iff (z - s) g K = 0
+    # for the kernel basis K (as columns) and every generator g
     dims = []
     invariant = True
     for s in (s_minus, s_plus):
@@ -201,8 +201,8 @@ def splitting_check(n, lam, ctx):
         space = nullspace(zs, ctx.one)
         dims.append(len(space))
         invariant = invariant and all(
-            not mat_vec(zs, mat_vec(g, v))
-            for g in module.U[: n - 1] for v in space)
+            mat_is_zero(mat_mul(zs, mat_mul(g, space)))
+            for g in module.U[: n - 1])
     dims = tuple(dims)
     split = dims == expected and invariant and sum(dims) == module.dim
     return SplittingResult(n, lam, False, split, dims, expected, invariant,
@@ -318,8 +318,8 @@ def verify_smallcase_matrices(ctx):
     computed = {"U1": rep.U[1], "X": rep.x, "U0": rep.U[0]}
     golden = smallcase_golden(ctx)
     checks = [RelationCheck(f"smallcase_matrix({name})",
-                            vec_eq(computed[name][0], golden[name][0])
-                            and vec_eq(computed[name][1], golden[name][1]))
+                            computed[name][0] == golden[name][0]
+                            and computed[name][1] == golden[name][1])
               for name in ("U1", "X", "U0")]
     # U0 (q^-1 12 - 21) = q^-1(-lam1(q - q^-1) + q [m]) 21, nonzero
     vec = mat_vec(rep.U[0], {0: ctx.qinv, 1: -ctx.one})

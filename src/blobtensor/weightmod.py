@@ -28,9 +28,9 @@ from functools import lru_cache
 from math import comb
 
 from .blob import MatrixRep
-from .linalg import (SpanSolver, certified_rank, invariant_closure, mat_eq,
-                     mat_mul, mat_scale, mat_vec, span_rank, vec_add_scaled,
-                     vec_eq, vec_scale, vec_sub)
+from .linalg import (SpanSolver, certified_rank, invariant_closure, mat_mul,
+                     mat_scale, mat_vec, span_rank, vec_add_scaled,
+                     vec_scale, vec_sub)
 from .scalars import context, residues_equal
 from .tensor import (RelationCheck, all_words, op_T_ctx, op_X_ctx,
                      weight_words)
@@ -194,14 +194,14 @@ def underline_map(n, lam, ctx):
     fcols = [big.coords(underline_vect(w, "", ctx)) for w in small.basis]
     emat = _e_matrix(big.U, ctx)
     # image sits inside eM and spans it
-    e_fixes = all(vec_eq(mat_vec(emat, col), col) for col in fcols)
+    e_fixes = all(mat_vec(emat, col) == col for col in fcols)
     rank = span_rank(fcols)
     dim_e = localized_dim(big)
     intertwines = {}
     for i in range(n - 2):
         lhs = mat_mul(fcols, small.U[i])
         rhs = mat_mul(big.U[i], fcols)
-        intertwines[i] = mat_eq(lhs, rhs)
+        intertwines[i] = lhs == rhs
     return UnderlineMapResult(
         n, lam, small.dim, dim_e, rank,
         rank == small.dim == dim_e, e_fixes, intertwines)
@@ -488,7 +488,7 @@ def verify_trivial_relations(n, lam, ctx):
                                 vec_scale(underline_vect(w1, w2 + "12" + w3,
                                                          ctx), ctx.qinv),
                                 underline_vect(w1, w2 + "21" + w3, ctx))
-                            if not vec_eq(lhs, rhs):
+                            if lhs != rhs:
                                 yield w1 + "|" + w2 + "|" + w3
 
     def decorated_failures():
@@ -505,7 +505,7 @@ def verify_trivial_relations(n, lam, ctx):
                     rhs = _decorated_combination(
                         underline_vect("1" + w1, w2 + "2", ctx),
                         underline_vect("2" + w1, w2 + "1", ctx), label, ctx)
-                    if not vec_eq(lhs, rhs):
+                    if lhs != rhs:
                         yield w1 + "|" + w2
 
     checks = []

@@ -6,8 +6,10 @@ import importlib
 import inspect
 import runpy
 from pathlib import Path
+from types import SimpleNamespace
 
 from blobtensor import blob, specht, tensor, towers, weightmod
+from blobtensor.scalars import GENERIC, cyclotomic_field
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -76,6 +78,17 @@ def test_traced_names_resolve():
             home = importlib.import_module(f"blobtensor.{module}")
             bound = importlib.import_module(f"blobtensor.{site}")
             assert getattr(bound, name, None) is getattr(home, name), pattern
+
+
+def test_harvest_tells_the_backends_apart():
+    # the trace sorts operands by their `field` attribute: a generic scalar
+    # has none, so giving it one would file it under a cyclotomic bucket
+    layers = runpy.run_path(str(PERFBENCH / "layers.py"))
+    tracer = SimpleNamespace(harvest={})
+    F = cyclotomic_field(5)
+    layers["_harvest"](tracer, "matrix", [GENERIC.q, F.q])
+    assert tracer.harvest == {"generic:matrix": {str(GENERIC.q): None},
+                              "cyc5:matrix": {F.serialize(F.q): None}}
 
 
 def _private_definitions(tree):

@@ -7,7 +7,6 @@ import pytest
 
 from blobtensor import towers
 from blobtensor.blob import MatrixRep
-from blobtensor.linalg import mat_eq, vec_eq
 from blobtensor.scalars import BlobParams, context, residues_equal
 from blobtensor.tensor import op_S_ctx, op_T_inv_ctx, ops_Xk_ctx
 from blobtensor.towers import (restriction_sequence, smallcase_golden,
@@ -91,10 +90,9 @@ def test_module_chain_matches_lazy_chain(l, m):
             for k in range(1, n + 1):
                 if k > 1:
                     z = xs[k - 1] @ z
-                assert mat_eq(module.xk[k - 1],
-                              xs[k - 1].matrix(module.basis)), (n, lam, k)
-                assert mat_eq(module.z[k - 1], z.matrix(module.basis)), \
+                assert module.xk[k - 1] == xs[k - 1].matrix(module.basis), \
                     (n, lam, k)
+                assert module.z[k - 1] == z.matrix(module.basis), (n, lam, k)
                 assert z_matrix(k, module) is module.z[k - 1]
 
 
@@ -341,8 +339,7 @@ def test_smallcase_golden_matrices():
     assert computed["U0"][0] == {1: -(lam1 * ctx.q_minus_qinv)}
     assert computed["U0"][1] == {1: -m}
     for name in ("U1", "X", "U0"):
-        assert all(vec_eq(a, b)
-                   for a, b in zip(computed[name], golden[name]))
+        assert computed[name] == golden[name]
 
 
 @pytest.mark.parametrize("l,m", [(5, 2), (5, 3), (5, 4), (7, 2), (7, 6),

@@ -9,7 +9,7 @@ import pytest
 from blobtensor import weightmod
 from blobtensor.blob import dualize
 from blobtensor.cli import main
-from blobtensor.linalg import (SpanSolver, mat_eq, mat_is_zero, mat_mul,
+from blobtensor.linalg import (SpanSolver, mat_is_zero, mat_mul,
                                mat_transpose, vec_sub)
 from blobtensor.scalars import BlobParams, context, residues_equal
 from blobtensor.tensor import LinOp, op_T_ctx, op_X_ctx
@@ -70,7 +70,7 @@ def test_dual_generators_are_transposes():
         dual = dualize(module)
         assert len(dual.U) == len(module.U) == n
         for u, du in zip(module.U, dual.U):
-            assert mat_eq(du, mat_transpose(u, module.dim))
+            assert du == mat_transpose(u, module.dim)
 
 
 def test_idempotent():
@@ -81,7 +81,7 @@ def test_idempotent():
     assert module.words(col) == {"112": two.inv() * C3.qinv,
                                  "121": -two.inv()}
     assert mat_is_zero(_e_matrix(weight_module(3, 3, C3).U, C3))
-    assert mat_eq(mat_mul(em, em), em)
+    assert mat_mul(em, em) == em
 
 
 def test_localize_small_cases():
