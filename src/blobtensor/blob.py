@@ -34,15 +34,17 @@ from .tensor import (verify_ariki_koike, verify_blob_identity,
 class MatrixRep:
     """A representation by matrices (columns are images) on an ordered list
     of labels: X, and g_i for i = 1 .. n-1 in the dict g.  The blob
-    generators U_0 = X - lam1 and U_i = g_i - q are derived here, once."""
+    generators U_0 = X - lam1 and U_i = g_i - q are derived here, once,
+    unless the caller passes U_1 .. U_{n-1} as `gen_u`."""
 
-    def __init__(self, labels, x, g, ctx):
+    def __init__(self, labels, x, g, ctx, gen_u=None):
         self.labels = labels
         self.x = x
         self.g = g
         self.ctx = ctx
-        self.U = [mat_sub_scalar_diag(x, ctx.lam1)] + [
-            mat_sub_scalar_diag(g[i], ctx.q) for i in sorted(g)]
+        if gen_u is None:
+            gen_u = [mat_sub_scalar_diag(g[i], ctx.q) for i in sorted(g)]
+        self.U = [mat_sub_scalar_diag(x, ctx.lam1)] + gen_u
 
     @property
     def dim(self):

@@ -297,12 +297,16 @@ class ModSpan:
     """Span over F_p of sparse vectors of residues (ints in [0, p)), kept
     in reduced row echelon form: a row has no entry in another row's pivot
     column, so reducing a vector takes one pass over its entries, and near
-    full rank the rows are short.  `tags` lists the tags of the accepted
-    vectors in order."""
+    full rank the rows are short.  The pivot of a new row is its column
+    with the fewest entries among the stored rows, the smallest such index
+    on ties (Markowitz's rule), and a column index names the rows to clear
+    in it.  Whether a vector is accepted depends only on the span, never on
+    the pivots.  `tags` lists the tags of the accepted vectors in order."""
 
     def __init__(self, p):
         self.p = p
         self.rows = {}  # pivot index -> row without its pivot entry
+        self.cols = {}  # column -> pivots whose row has an entry there
         self.tags = []
 
     @property
@@ -311,7 +315,7 @@ class ModSpan:
 
     def insert(self, vec, tag=None):
         """Add a vector to the span.  Returns True if the rank grew."""
-        p, rows = self.p, self.rows
+        p, rows, cols = self.p, self.rows, self.cols
         red = {}
         for i, x in vec.items():
             row = rows.get(i)
@@ -323,19 +327,24 @@ class ModSpan:
         red = {j: x % p for j, x in red.items() if x % p}
         if not red:
             return False
-        piv = min(red)
+        piv = min(red, key=lambda j: (len(cols.get(j, ())), j))
         cinv = pow(red.pop(piv), -1, p)
         new = {j: x * cinv % p for j, x in red.items()}
-        for row in rows.values():
-            c = row.pop(piv, None)
-            if c is not None:
-                for j, x in new.items():
-                    s = (row.get(j, 0) - c * x) % p
-                    if s:
-                        row[j] = s
-                    else:
-                        row.pop(j, None)
+        for r in cols.pop(piv, ()):
+            row = rows[r]
+            c = row.pop(piv)
+            for j, x in new.items():
+                s = (row.get(j, 0) - c * x) % p
+                if s:
+                    if j not in row:
+                        cols.setdefault(j, set()).add(r)
+                    row[j] = s
+                elif j in row:
+                    del row[j]
+                    cols[j].discard(r)
         rows[piv] = new
+        for j in new:
+            cols.setdefault(j, set()).add(piv)
         self.tags.append(tag)
         return True
 

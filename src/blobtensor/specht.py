@@ -28,7 +28,7 @@ from functools import lru_cache
 from .blob import (MatrixRep, ariki_koike_checks_matrices,
                    blob_relation_checks_matrices, dualize)
 from .linalg import (certified_rank, invariant_closure, mat_sub_scalar_diag,
-                     mat_vec, span_rank, vec_add_scaled)
+                     mat_transpose, mat_vec, span_rank, vec_add_scaled)
 from .scalars import context, residues_equal
 from .tensor import Relation, RelationCheck, evaluate, ops_Xk_ctx, word
 from .weightmod import (WeightLabel, _adjointness_injective,
@@ -293,7 +293,9 @@ def dual_adjointness_check(n, lam, params):
     ctx = context(params)
     label = WeightLabel(n, lam)
     module = weight_module(n, lam, ctx)
-    dual_u = dualize(module).U
+    # the generators of the dual are the transposed U_i: the antiinvolution
+    # fixes X and g_i, and (g - c)^T = g^T - c
+    dual_u = [mat_transpose(u, module.dim) for u in module.U]
     e_dual = _e_matrix(dual_u, ctx)
     seeds = [c for c in e_dual if c]
     found = certified_rank(seeds, dual_u, module.dim, ctx.field.modular,

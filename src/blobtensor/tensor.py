@@ -1,9 +1,15 @@
 """The rank-two tensor space and its Hecke-algebra operators.
 
 Basis vectors of V^(x)n are words over {1, 2}, written as strings ('112' is
-v1 (x) v1 (x) v2).  Operators are stored lazily as rules on basis words and
-applied by linearity; dense matrices are only materialized on weight
-subspaces, never on the full 2^n-dimensional space.
+v1 (x) v1 (x) v2).  Each operator is stated once, as a rule on basis words
+(`op_T_ctx`, `op_T_inv_ctx`, `op_S_ctx`, `op_varpi_ctx`, `op_theta_ctx`),
+kept lazily in a `LinOp` and applied by linearity; matrices are only
+materialized on weight subspaces, never on the full 2^n-dimensional space.
+The lazy composites (`op_X_ctx`, `ops_Xk_ctx`) are the word-level
+reference: the relation suites read their block matrices from the weight
+modules and the block operator tables (`weightmod.block_operators`), which
+build every two-letter operator once per block through `LinOp.matrix` and
+form X as a product of those matrices.
 
 Conventions:
 
@@ -11,7 +17,8 @@ Conventions:
   '21' swaps to '12', and '12' maps to '21' + (q - q^-1) '12'.
 * S_j scales equal adjacent letters by q and swaps unequal ones.
 * varpi scales a word by lambda1 or lambda2 according to its first letter;
-  theta = S_n ... S_2; and X = T_2^-1 ... T_n^-1 theta varpi.
+  theta = S_n ... S_2; and X = T_2^-1 ... T_n^-1 theta varpi.  Only varpi
+  reads lambda1 and lambda2.
 * X_1 = X and X_k = T_k X_{k-1} T_k.
 
 >>> from blobtensor.scalars import BlobParams, context
@@ -171,18 +178,22 @@ def op_varpi_ctx(n, ctx):
     return LinOp(n, ctx, rule, name="varpi")
 
 
-def op_theta_varpi_ctx(n, ctx):
-    """The rotation operator: i1 i2...in -> lambda_{delta(1)} q^(a-1)
-    i2...in i1 with a the number of letters equal to i1."""
-    lam1, lam2 = ctx.lam1, ctx.lam2
+def op_theta_ctx(n, ctx):
+    """The rotation theta = S_n ... S_2 by its closed form:
+    i1 i2...in -> q^(a-1) i2...in i1 with a the number of letters equal
+    to i1."""
 
     def rule(w):
         first = w[0]
-        a = w.count(first)
-        lam = lam1 if first == "1" else lam2
-        return {w[1:] + first: lam * ctx.q_pow(a - 1)}
+        return {w[1:] + first: ctx.q_pow(w.count(first) - 1)}
 
-    return LinOp(n, ctx, rule, name="theta*varpi")
+    return LinOp(n, ctx, rule, name="theta")
+
+
+def op_theta_varpi_ctx(n, ctx):
+    """The rotation operator: i1 i2...in -> lambda_{delta(1)} q^(a-1)
+    i2...in i1 with a the number of letters equal to i1."""
+    return op_theta_ctx(n, ctx) @ op_varpi_ctx(n, ctx)
 
 
 def op_X_ctx(n, ctx):
@@ -208,26 +219,26 @@ def ops_Xk_ctx(n, ctx):
 # relation verification
 # ---------------------------------------------------------------------------
 
-def weight_blocks(n, ctx, ops):
+def weight_blocks(n, ctx, ops=()):
     """(basis, matrices) for each block of V^(x)n: the `module_blocks` of the
-    cached weight modules M_n(lam), each extended with the matrix of every
-    LinOp in `ops` keyed by its name."""
+    cached weight modules M_n(lam) with T{i}^-1 and S{i} from the block
+    operator tables, each extended with the matrix of every LinOp in `ops`
+    keyed by its name."""
     from .weightmod import module_blocks
 
-    for basis, mats in module_blocks(n, ctx):
+    for basis, mats in module_blocks(n, ctx, local=True):
         yield basis, dict(mats, **{op.name: op.matrix(basis) for op in ops})
 
 
 def verify_ariki_koike(n, ctx):
     """Check the defining relations on every basis word of V^(x)n, through
     the matrices on each weight block: X and T2 .. Tn are those of the
-    cached weight modules M_n(lam), the other operators are built on their
-    bases.  Returns one RelationCheck per relation."""
+    cached weight modules M_n(lam), T_i^-1 and S_i those of the block
+    operator tables, and varpi and theta*varpi are built from their rules on
+    the block bases.  Returns one RelationCheck per relation."""
     if n < 2:
         raise ValueError("relation suite needs n >= 2")
     ops = [op_varpi_ctx(n, ctx), op_theta_varpi_ctx(n, ctx)]
-    for i in range(2, n + 1):
-        ops += [op_T_inv_ctx(i, n, ctx), op_S_ctx(i, n, ctx)]
     rels = ariki_koike_relations([f"T{i}" for i in range(2, n + 1)], ctx,
                                  identity=False)
     # grouped by name prefix, prefixes ranked by first appearance (the keys
@@ -252,11 +263,9 @@ def verify_partial_rotation_fixing(n, ctx):
     R_p P_p = P_p for j = 2.  On each weight block R_n = I and
     R_{p-1} = T_p^-1 R_p S_p.  One RelationCheck per (j, p), j = 1 first."""
     one = ctx.one
-    ops = [op(i, n, ctx) for i in range(2, n + 1)
-           for op in (op_T_inv_ctx, op_S_ctx)]
 
     def blocks():
-        for basis, mats in weight_blocks(n, ctx, ops):
+        for basis, mats in weight_blocks(n, ctx):
             r = mat_identity(len(basis), one)
             for p in range(n, 0, -1):
                 twos = [w[p - 1] == "2" for w in basis]

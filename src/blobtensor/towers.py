@@ -267,30 +267,6 @@ def verify_triangle(n_max):
     return checks
 
 
-def verify_x_triangular(n, lam, ctx):
-    """In the 2-initial-first basis order the matrix of X is upper triangular
-    with lambda2 on the first |B2| diagonal entries and lambda1 after; the
-    check names the first failure, column by column."""
-    module = weight_module(n, lam, ctx)
-    b2 = sum(1 for w in module.basis if w[0] == "2")
-
-    def failures():
-        for j, col in enumerate(module.x):
-            expect_diag = ctx.lam2 if j < b2 else ctx.lam1
-            for i, c in col.items():
-                if i > j:
-                    yield f"below-diagonal entry at ({i},{j})"
-                if i == j and c != expect_diag:
-                    yield f"diagonal at {j}"
-            if j < b2 and list(col.keys()) != [j]:
-                yield f"2-block column {j} not diagonal"
-            if module.basis[j][0] == "1" and j < b2:
-                yield "basis order broken"
-
-    bad = next(failures(), None)
-    return [RelationCheck("x_upper_triangular", bad is None, bad)]
-
-
 # ---------------------------------------------------------------------------
 # the n = 2 golden matrices
 # ---------------------------------------------------------------------------

@@ -24,15 +24,15 @@ criterion degenerates to the integer test n2 != m.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import comb
 
 from .blob import MatrixRep
 from .linalg import (SpanSolver, certified_rank, invariant_closure, mat_mul,
-                     mat_scale, mat_vec, span_rank, vec_add_scaled,
-                     vec_scale, vec_sub)
-from .scalars import context, residues_equal
-from .tensor import (RelationCheck, all_words, op_T_ctx, op_X_ctx,
+                     mat_scale, mat_sub_scalar_diag, mat_vec, span_rank,
+                     vec_add_scaled, vec_scale, vec_sub)
+from .scalars import FieldContext, context, residues_equal
+from .tensor import (op_S_ctx, op_T_ctx, op_T_inv_ctx, op_theta_ctx,
                      weight_words)
 
 
@@ -83,20 +83,65 @@ def weight_basis(n, lam):
             + [w for w in words if w[0] == "1"])
 
 
+class BlockOperators:
+    """The operators of the block M_n(lam) that depend on q alone, on its
+    weight basis: T_i (i = 2..n) from its two-letter rule, U_i = T_{i+1} - q
+    (i = 1..n-1), and P = T_2^-1 ... T_n^-1 theta, so that X = P varpi.  The
+    matrices of T_i^-1 and S_i (i = 2..n), which only the relation suites
+    read, are kept from their first use on.  The rules run in a context
+    without lambda1 and lambda2, so none of these can read them."""
+
+    def __init__(self, n, lam, field, q):
+        self.n = n
+        self.ctx = FieldContext(field, q, None, None)
+        self.basis = weight_basis(n, lam)
+        self.index = {w: i for i, w in enumerate(self.basis)}
+        self.T = self._matrices(op_T_ctx)
+        self.U = [mat_sub_scalar_diag(t, q) for t in self.T.values()]
+        t_inv = self._matrices(op_T_inv_ctx)
+        p = op_theta_ctx(n, self.ctx).matrix(self.basis)
+        for i in range(n, 1, -1):
+            p = mat_mul(t_inv[i], p)
+        self.P = p
+
+    def _matrices(self, op):
+        """{i: the matrix of op(i, n)} for i = 2..n, from its rule."""
+        return {i: op(i, self.n, self.ctx).matrix(self.basis)
+                for i in range(2, self.n + 1)}
+
+    @cached_property
+    def T_inv(self):
+        return self._matrices(op_T_inv_ctx)
+
+    @cached_property
+    def S(self):
+        return self._matrices(op_S_ctx)
+
+
+# keyed by field and q, not by the context: the contexts of one field and q
+# (a context and its lambda-swapped one) share a block's table
+@lru_cache(maxsize=32)
+def block_operators(n, lam, field, q):
+    return BlockOperators(n, lam, field, q)
+
+
 class WeightModule(MatrixRep):
     """M_n(lam) as a matrix representation on its weight basis: X, g_i the
     matrix of T_{i+1}, and the derived U_0 .. U_{n-1} (columns are images,
-    in the weight_basis order)."""
+    in the weight_basis order).  Only X = P varpi and U_0 = X - lam1 are
+    built here; g_i and U_1 .. U_{n-1} are those of the block's operator
+    table, shared with every context of the same field and q."""
 
     def __init__(self, n, lam, ctx):
         self.lam = lam
         self.label = WeightLabel(n, lam)
-        basis = weight_basis(n, lam)
-        self.index = {w: i for i, w in enumerate(basis)}
-        super().__init__(
-            basis, op_X_ctx(n, ctx).matrix(basis),
-            {i: op_T_ctx(i + 1, n, ctx).matrix(basis) for i in range(1, n)},
-            ctx)
+        ops = block_operators(n, lam, ctx.field, ctx.q)
+        self.index = ops.index
+        lam1, lam2 = ctx.lam1, ctx.lam2
+        x = [vec_scale(col, lam1 if w[0] == "1" else lam2)
+             for w, col in zip(ops.basis, ops.P)]
+        super().__init__(ops.basis, x,
+                         {i - 1: t for i, t in ops.T.items()}, ctx, ops.U)
 
     @property
     def basis(self):
@@ -117,20 +162,26 @@ class WeightModule(MatrixRep):
 
 
 # A grid point reuses the modules of its own n and of n - 1; a larger cache
-# only keeps x, g and U of finished points alive.
+# only keeps x and U_0 of finished points alive (g and U_1 .. belong to the
+# block operator tables, which have a cache of their own).
 @lru_cache(maxsize=32)
 def weight_module(n, lam, ctx):
     return WeightModule(n, lam, ctx)
 
 
-def module_blocks(n, ctx):
+def module_blocks(n, ctx, local=False):
     """(basis, matrices) blocks of V^(x)n for `relations.evaluate`: one per
     cached M_n(lam), lam in Lambda_n, whose bases partition the words.  The
-    matrices are named X, T2 .. Tn and U0 .. U{n-1}."""
+    matrices are named X, T2 .. Tn and U0 .. U{n-1}; with `local` also
+    T2^-1 .. Tn^-1 and S2 .. Sn, from the block operator tables."""
     for lam in lambda_range(n):
         module = weight_module(n, lam, ctx)
         mats = {f"T{i + 1}": g for i, g in module.g.items()}
         mats.update({f"U{i}": u for i, u in enumerate(module.U)}, X=module.x)
+        if local:
+            ops = block_operators(n, lam, ctx.field, ctx.q)
+            for i in range(2, n + 1):
+                mats[f"T{i}^-1"], mats[f"S{i}"] = ops.T_inv[i], ops.S[i]
         yield module.basis, mats
 
 
@@ -458,60 +509,3 @@ def adjointness_record(n, lam, params):
         "expected_residue_verdict": expected,
         "matches_expected": four_way and verdicts[0] == expected,
     }
-
-
-# ---------------------------------------------------------------------------
-# formal ("trivial") relations among the underline symbols
-# ---------------------------------------------------------------------------
-
-def verify_trivial_relations(n, lam, ctx):
-    """The two systems of formal relations between shifted underline elements
-    and the decorated elements, expanded to plain vectors in M_n(lam); each
-    check names its first failing split of the word."""
-    label = WeightLabel(n, lam)
-    n1, n2 = label.n1, label.n2
-
-    def tl_failures():
-        for l1 in range(n - 3):
-            for l2 in range(n - 3 - l1):
-                l3 = n - 4 - l1 - l2
-                for w1 in all_words(l1):
-                    for w2 in all_words(l2):
-                        for w3 in all_words(l3):
-                            if (w1 + w2 + w3).count("1") != n1 - 2:
-                                continue
-                            lhs = vec_sub(
-                                vec_scale(underline_vect(w1 + "12" + w2, w3,
-                                                         ctx), ctx.qinv),
-                                underline_vect(w1 + "21" + w2, w3, ctx))
-                            rhs = vec_sub(
-                                vec_scale(underline_vect(w1, w2 + "12" + w3,
-                                                         ctx), ctx.qinv),
-                                underline_vect(w1, w2 + "21" + w3, ctx))
-                            if lhs != rhs:
-                                yield w1 + "|" + w2 + "|" + w3
-
-    def decorated_failures():
-        for l1 in range(n - 3):
-            l2 = n - 4 - l1
-            for w1 in all_words(l1):
-                for w2 in all_words(l2):
-                    if (w1 + w2).count("1") != n1 - 2:
-                        continue
-                    lhs = vec_sub(
-                        vec_scale(decorated_vect(w1 + "12" + w2, label, ctx),
-                                  ctx.qinv),
-                        decorated_vect(w1 + "21" + w2, label, ctx))
-                    rhs = _decorated_combination(
-                        underline_vect("1" + w1, w2 + "2", ctx),
-                        underline_vect("2" + w1, w2 + "1", ctx), label, ctx)
-                    if lhs != rhs:
-                        yield w1 + "|" + w2
-
-    checks = []
-    for name, failures in (("shift_relation_tl", tl_failures),
-                           ("shift_relation_decorated", decorated_failures)):
-        bad = next(failures(), None) if n1 >= 2 and n2 >= 2 else None
-        checks.append(RelationCheck(name, bad is None, bad))
-    return checks
-

@@ -16,6 +16,7 @@ import pytest
 from blobtensor import blob, specht, towers, weightmod
 from blobtensor.scalars import BlobParams, context, residues_equal
 from blobtensor.weightmod import WeightLabel, lambda_range
+from test_towers import verify_x_triangular
 
 RELATION_PARAMS = [(0, 2), (5, 2), (5, 3), (7, 2), (7, 3)]
 CYCLOTOMIC_GRID = [(l, m) for l in (3, 5, 7) for m in range(2, l)]
@@ -126,7 +127,7 @@ def test_criterion_06_pascal_triangle():
         ctx = context(BlobParams(n, 0, 2))
         for lam in lambda_range(n):
             ok = ok and all(
-                c.ok for c in towers.verify_x_triangular(n, lam, ctx))
+                c.ok for c in verify_x_triangular(n, lam, ctx))
     _report(6, "triangle rows match the printed values, C(n-1, a) and the "
                "Pascal recursion to n=10; X triangular for n <= 8", ok)
 

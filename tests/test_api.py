@@ -1,5 +1,6 @@
-"""API guards: parameters stop at the CLI and the record builders, and every
-name the benchmark trace wraps exists in the package."""
+"""API guards: parameters stop at the CLI and the record builders, every
+name the benchmark trace wraps exists in the package, and every function in
+the package has a caller."""
 
 import ast
 import importlib
@@ -128,6 +129,37 @@ def test_private_helpers_have_callers():
             own = sum(1 for name in _references(fn) if name == fn.name)
             if counts.get(fn.name, 0) <= own:
                 orphans.append(fn.name)
+    assert not orphans
+
+
+def test_public_functions_have_callers():
+    # a public module-level function is referenced in src/ outside its own
+    # body, exported by the package, or wrapped by the benchmark trace;
+    # helpers that only tests call live in the tests
+    package = Path(blob.__file__).parent
+    trees = {path.stem: ast.parse(path.read_text())
+             for path in sorted(package.glob("*.py"))}
+    init = trees.pop("__init__")
+    exported = {alias.name for node in ast.walk(init)
+                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    layers = runpy.run_path(str(PERFBENCH / "layers.py"))
+    traced = {f"{module}.{qualname}"
+              for module, qualname, *_ in layers["targets"]()}
+    counts = {}
+    for tree in trees.values():
+        for name in _references(tree):
+            counts[name] = counts.get(name, 0) + 1
+    orphans = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) \
+                    or node.name.startswith("_"):
+                continue
+            own = sum(1 for name in _references(node) if name == node.name)
+            if counts.get(node.name, 0) <= own and \
+                    node.name not in exported and \
+                    f"{module}.{node.name}" not in traced:
+                orphans.append(f"{module}.{node.name}")
     assert not orphans
 
 

@@ -522,9 +522,12 @@ def test_operator_leaving_its_block_is_a_verification_error(monkeypatch,
             op._rule = lambda w: {"1" * n: ctx.one}
         return op
 
-    # the relation suites read T2 .. Tn from the weight modules; a fresh
-    # module cache builds them with the leaky T3 and is dropped afterwards
+    # the relation suites read T2 .. Tn from the block operator tables; a
+    # fresh table cache builds them with the leaky T3, a fresh module cache
+    # reads them, and both are dropped afterwards
     monkeypatch.setattr(weightmod, "op_T_ctx", leaky)
+    monkeypatch.setattr(weightmod, "block_operators",
+                        lru_cache(maxsize=None)(weightmod.BlockOperators))
     monkeypatch.setattr(weightmod, "weight_module",
                         lru_cache(maxsize=None)(weightmod.WeightModule))
     rc = main(["verify-relations", "--n", "3", "--l", "0", "--m", "2"])

@@ -13,7 +13,8 @@ from hypothesis import strategies as st
 
 from blobtensor import specht, weightmod
 from blobtensor.cli import main
-from blobtensor.linalg import (ModSpan, certified_rank, invariant_closure,
+from blobtensor.linalg import (ModSpan, _closure, _mat_vec_mod,
+                               certified_rank, invariant_closure,
                                left_kernel, span_rank)
 from blobtensor.scalars import (GENERIC, BlobParams, ModularMap, context,
                                 cyclotomic_field)
@@ -134,6 +135,82 @@ def test_mod_span_rank_matches_dense_elimination(rows):
     for k, g in enumerate(grew):
         assert g == (_dense_rank_mod(rows[:k + 1], 7)
                      > _dense_rank_mod(rows[:k], 7))
+
+
+class _EchelonSpan:
+    """Plain row echelon mod p, always pivoting on the smallest index: the
+    reference for ModSpan's pivot choice."""
+
+    def __init__(self, p):
+        self.p = p
+        self.rows = {}  # pivot -> full row, pivot coefficient 1
+        self.tags = []
+
+    @property
+    def rank(self):
+        return len(self.rows)
+
+    def insert(self, vec, tag=None):
+        p = self.p
+        red = {j: x % p for j, x in vec.items() if x % p}
+        for piv in sorted(self.rows):
+            c = red.get(piv)
+            if c:
+                for j, x in self.rows[piv].items():
+                    red[j] = (red.get(j, 0) - c * x) % p
+                red = {j: x for j, x in red.items() if x}
+        if not red:
+            return False
+        piv = min(red)
+        inv = pow(red[piv], -1, p)
+        self.rows[piv] = {j: x * inv % p for j, x in red.items()}
+        self.tags.append(tag)
+        return True
+
+
+sparse_families = st.lists(
+    st.dictionaries(st.integers(0, 11), st.integers(1, 6), min_size=1,
+                    max_size=3), min_size=1, max_size=14)
+
+
+class _CheckedSpan(ModSpan):
+    """A ModSpan that checks itself after every insert: the rank grows
+    exactly when the insert says so, no row has an entry in another row's
+    pivot column, and the column index names exactly the rows with an entry
+    in each column."""
+
+    def insert(self, vec, tag=None):
+        rank = self.rank
+        grew = super().insert(vec, tag)
+        assert self.rank == rank + grew
+        occupied = {}
+        for piv, row in self.rows.items():
+            assert not set(row) & set(self.rows)
+            for j in row:
+                occupied.setdefault(j, set()).add(piv)
+        assert {j: r for j, r in self.cols.items() if r} == occupied
+        return grew
+
+
+@pytest.mark.parametrize("p", [7, 101])
+@given(family=sparse_families, gens=st.lists(sparse_families, max_size=2))
+@settings(max_examples=150, deadline=None)
+def test_markowitz_pivots_keep_ranks_and_tags(p, family, gens):
+    # the family inserted in order, then the closure of its first vectors
+    # under sparse matrices: acceptance, rank and tags match the
+    # smallest-index echelon whatever the pivots
+    span, ref = _CheckedSpan(p), _EchelonSpan(p)
+    for k, v in enumerate(family):
+        v = {j: x % p for j, x in v.items()}
+        assert span.insert(v, k) == ref.insert(v, k)
+    assert (span.rank, span.tags) == (ref.rank, ref.tags)
+    mats = [[{j: x % p for j, x in col.items()} for col in
+             (g + [{}] * 12)[:12]] for g in gens]
+    seeds = [{j: x % p for j, x in v.items()} for v in family[:3]]
+    apply = lambda m, v: _mat_vec_mod(m, v, p)  # noqa: E731
+    closed = _closure(_CheckedSpan(p), seeds, mats, apply)
+    expect = _closure(_EchelonSpan(p), seeds, mats, apply)
+    assert (closed.rank, closed.tags) == (expect.rank, expect.tags)
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)

@@ -207,7 +207,12 @@ def test_perturbed_S_fails_at_the_lazy_chains_word(monkeypatch, n, l):
 
             return LinOp(n_, ctx_, rule, name=op.name)
 
+        # the block operator tables build S from weightmod's binding; a
+        # fresh table cache per case builds them with this case's S
         monkeypatch.setattr(tensor_module, "op_S_ctx", op_S)
+        monkeypatch.setattr(weightmod, "op_S_ctx", op_S)
+        monkeypatch.setattr(weightmod, "block_operators",
+                            lru_cache(maxsize=None)(weightmod.BlockOperators))
         checks = [(c.name, c.ok, c.first_failure)
                   for c in verify_partial_rotation_fixing(n, ctx)]
         assert checks == _lazy_rotation_checks(n, ctx), (r, target)
@@ -240,7 +245,11 @@ def test_j2_residual_off_position_p_fails(monkeypatch, n, p, l):
                      if w == v else op.apply_word(w), name=op.name)
 
     monkeypatch.setattr(tensor_module, "op_T_inv_ctx", op_T_inv)
-    # X is built from T^-1: keep the perturbed modules out of the cache
+    # the block operator tables build T^-1 from weightmod's binding, and X
+    # from T^-1: keep the perturbed tables and modules out of the caches
+    monkeypatch.setattr(weightmod, "op_T_inv_ctx", op_T_inv)
+    monkeypatch.setattr(weightmod, "block_operators",
+                        lru_cache(maxsize=None)(weightmod.BlockOperators))
     monkeypatch.setattr(weightmod, "weight_module",
                         lru_cache(maxsize=None)(weightmod.WeightModule))
     checks = [(c.name, c.ok, c.first_failure)

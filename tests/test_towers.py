@@ -7,12 +7,13 @@ import pytest
 
 from blobtensor import towers
 from blobtensor.blob import MatrixRep
+from blobtensor.relations import RelationCheck
 from blobtensor.scalars import BlobParams, context, residues_equal
 from blobtensor.tensor import op_S_ctx, op_T_inv_ctx, ops_Xk_ctx
 from blobtensor.towers import (restriction_sequence, smallcase_golden,
                                verify_smallcase_matrices, splitting_check,
                                verify_central_z, verify_triangle,
-                               verify_x_triangular, x_multiplicity_entry,
+                               x_multiplicity_entry,
                                x_multiplicity_table, z_matrix,
                                z_scalar_formula)
 from blobtensor.weightmod import WeightLabel, lambda_range, weight_module
@@ -204,6 +205,31 @@ def test_wall_with_scalar_z_is_not_certified(monkeypatch):
         {j: s} for j in range(module.dim)])
     res = splitting_check(4, -2, ctx)
     assert res.wall and res.complement == "not_attempted"
+
+
+def verify_x_triangular(n, lam, ctx):
+    """In the 2-initial-first basis order the matrix of X is upper triangular
+    with lambda2 on the first |B2| diagonal entries and lambda1 after; the
+    check names the first failure, column by column.  The module is read
+    through `towers`, so the perturbed modules below reach it."""
+    module = towers.weight_module(n, lam, ctx)
+    b2 = sum(1 for w in module.basis if w[0] == "2")
+
+    def failures():
+        for j, col in enumerate(module.x):
+            expect_diag = ctx.lam2 if j < b2 else ctx.lam1
+            for i, c in col.items():
+                if i > j:
+                    yield f"below-diagonal entry at ({i},{j})"
+                if i == j and c != expect_diag:
+                    yield f"diagonal at {j}"
+            if j < b2 and list(col.keys()) != [j]:
+                yield f"2-block column {j} not diagonal"
+            if module.basis[j][0] == "1" and j < b2:
+                yield "basis order broken"
+
+    bad = next(failures(), None)
+    return [RelationCheck("x_upper_triangular", bad is None, bad)]
 
 
 def _perturbed_modules(monkeypatch, gen, i, j, where=None):

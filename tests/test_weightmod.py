@@ -10,16 +10,18 @@ from blobtensor import weightmod
 from blobtensor.blob import dualize
 from blobtensor.cli import main
 from blobtensor.linalg import (SpanSolver, mat_is_zero, mat_mul,
-                               mat_transpose, vec_sub)
+                               mat_transpose, vec_scale, vec_sub)
+from blobtensor.relations import RelationCheck
 from blobtensor.scalars import BlobParams, context, residues_equal
-from blobtensor.tensor import LinOp, op_T_ctx, op_X_ctx
+from blobtensor.tensor import LinOp, all_words, op_T_ctx, op_X_ctx
 from blobtensor.weightmod import (WeightLabel, _adjointness_injective,
-                                  _adjointness_surjective, _e_matrix,
-                                  adjointness_record, lambda_range,
-                                  localized_dim, quotient_scalar_record,
+                                  _adjointness_surjective,
+                                  _decorated_combination, _e_matrix,
+                                  adjointness_record, decorated_vect,
+                                  lambda_range, localized_dim,
+                                  quotient_scalar_record,
                                   special_element_scalar, straighten_word,
-                                  underline_map, verify_trivial_relations,
-                                  weight_basis, weight_module)
+                                  underline_map, weight_basis, weight_module)
 
 P3 = BlobParams(3, 0, 2)
 C3 = context(P3)
@@ -65,12 +67,146 @@ def test_module_matrices_match_generators():
 
 
 def test_dual_generators_are_transposes():
-    for n, lam in ((3, 1), (4, 0), (5, -1)):
-        module = weight_module(n, lam, C3)
+    # dual_adjointness_check takes the transposed U_i as the dual's
+    # generators, since (g - c)^T = g^T - c
+    for n, lam, l in ((3, 1, 0), (4, 0, 0), (5, -1, 0), (4, -2, 5),
+                      (5, 1, 7), (6, 0, 5)):
+        module = weight_module(n, lam, context(BlobParams(n, l, 2)))
         dual = dualize(module)
         assert len(dual.U) == len(module.U) == n
         for u, du in zip(module.U, dual.U):
             assert du == mat_transpose(u, module.dim)
+
+
+# ---------------------------------------------------------------------------
+# the block operator tables against a word-rule reference
+# ---------------------------------------------------------------------------
+
+TABLE_PARAMS = [BlobParams(2, 0, 2), BlobParams(2, 5, 2), BlobParams(2, 7, 3)]
+
+
+def _ref_rules(ctx):
+    """The defining rules on words, stated here from the conventions and
+    not taken from the package: T_i, T_i^-1, S_i on letters (i-1, i), and
+    varpi."""
+    q, qinv, one = ctx.q, ctx.qinv, ctx.one
+    d = q - qinv
+
+    def local(i, equal, rise, fall):
+        def rule(w):
+            a, b = w[i - 2], w[i - 1]
+            if a == b:
+                return {w: equal}
+            swapped = w[:i - 2] + b + a + w[i:]
+            out = {swapped: one}
+            extra = rise if a == "1" else fall
+            if extra is not None:
+                out[w] = extra
+            return out
+        return rule
+
+    return {"T": lambda i: local(i, q, d, None),
+            "T_inv": lambda i: local(i, qinv, None, -d),
+            "S": lambda i: local(i, q, None, None),
+            "varpi": lambda w: {w: ctx.lam1 if w[0] == "1" else ctx.lam2}}
+
+
+def _ref_apply(rule, vec):
+    out = {}
+    for w, c in vec.items():
+        for u, d in rule(w).items():
+            out[u] = out[u] + c * d if u in out else c * d
+    return {u: c for u, c in out.items() if not c.is_zero()}
+
+
+def _ref_minus(image, c):
+    """The rule w -> image(w) - c w."""
+    def rule(w):
+        out = dict(image(w))
+        out[w] = out[w] - c if w in out else -c
+        return {u: x for u, x in out.items() if not x.is_zero()}
+    return rule
+
+
+def _ref_matrix(basis, rule):
+    index = {w: i for i, w in enumerate(basis)}
+    return [{index[u]: c for u, c in rule(w).items()} for w in basis]
+
+
+def _ref_x(n, rules, one):
+    """X = T_2^-1 ... T_n^-1 S_n ... S_2 varpi on one word, rule by rule."""
+    def rule(w):
+        vec = _ref_apply(rules["varpi"], {w: one})
+        for i in range(2, n + 1):
+            vec = _ref_apply(rules["S"](i), vec)
+        for i in range(n, 1, -1):
+            vec = _ref_apply(rules["T_inv"](i), vec)
+        return vec
+    return rule
+
+
+@pytest.mark.parametrize("params", TABLE_PARAMS, ids=["generic", "l5", "l7"])
+def test_block_tables_match_the_word_rules(params):
+    # every table matrix, and X, g and U of every module, for n <= 6
+    ctx = context(params)
+    rules = _ref_rules(ctx)
+    for n in range(1, 7):
+        for lam in lambda_range(n):
+            ops = weightmod.block_operators(n, lam, ctx.field, ctx.q)
+            module = weight_module(n, lam, ctx)
+            basis = weight_basis(n, lam)
+            assert ops.basis == module.basis == basis
+            indices = range(2, n + 1)
+            for name, mats in (("T", ops.T), ("T_inv", ops.T_inv),
+                               ("S", ops.S)):
+                assert list(mats) == list(indices), name
+                for i in indices:
+                    assert mats[i] == _ref_matrix(basis, rules[name](i)), \
+                        (name, i, n, lam)
+            for i in indices:
+                u = _ref_matrix(basis, _ref_minus(rules["T"](i), ctx.q))
+                assert ops.U[i - 2] == module.U[i - 1] == u, (i, n, lam)
+                assert module.g[i - 1] == ops.T[i]
+            x = _ref_x(n, rules, ctx.one)
+            assert module.x == _ref_matrix(basis, x), (n, lam)
+            assert module.U[0] == _ref_matrix(basis, _ref_minus(x, ctx.lam1))
+
+
+def test_swapped_context_shares_the_table():
+    # g and U_1 .. are the table's own objects in both contexts; X differs
+    # only by varpi, column by column
+    ctx = context(BlobParams(5, 5, 2))
+    sctx = ctx.swapped()
+    for lam in (-1, 1, 3):
+        a, b = weight_module(5, lam, ctx), weight_module(5, lam, sctx)
+        assert a is not b and a.g.keys() == b.g.keys()
+        assert all(a.g[i] is b.g[i] for i in a.g)
+        assert all(u is v for u, v in zip(a.U[1:], b.U[1:]))
+        assert a.x != b.x and a.U[0] != b.U[0]
+        for w, xa, xb in zip(a.basis, a.x, b.x):
+            la, lb = (ctx.lam1, sctx.lam1) if w[0] == "1" else \
+                (ctx.lam2, sctx.lam2)
+            assert {i: c / la for i, c in xa.items()} == \
+                {i: c / lb for i, c in xb.items()}, w
+
+
+def test_each_field_gets_its_own_table():
+    # one (n, lam) on three fields in one process: the cache key holds the
+    # field and q, so no field is handed another's matrices
+    n, lam = 4, 0
+    tables = []
+    for params in TABLE_PARAMS:
+        ctx = context(params)
+        ops = weightmod.block_operators(n, lam, ctx.field, ctx.q)
+        rules = _ref_rules(ctx)
+        basis = weight_basis(n, lam)
+        for i in range(2, n + 1):
+            assert ops.T[i] == _ref_matrix(basis, rules["T"](i))
+            assert ops.T_inv[i] == _ref_matrix(basis, rules["T_inv"](i))
+        x = _ref_matrix(basis, _ref_x(n, rules, ctx.one))
+        assert weight_module(n, lam, ctx).x == x
+        tables.append(ops)
+    assert len({id(t) for t in tables}) == len(tables)
 
 
 def test_idempotent():
@@ -118,6 +254,8 @@ def test_localize_extremes_fail_on_a_nonzero_U(monkeypatch, tmp_path):
                      name=op.name)
 
     monkeypatch.setattr(weightmod, "op_T_ctx", op_T)
+    monkeypatch.setattr(weightmod, "block_operators",
+                        lru_cache(maxsize=None)(weightmod.BlockOperators))
     monkeypatch.setattr(weightmod, "weight_module",
                         lru_cache(maxsize=None)(weightmod.WeightModule))
     for lam in (3, -3):
@@ -269,6 +407,64 @@ def test_adjointness_rejects_bad_inputs():
         _adjointness_surjective(2, 0, C3)
     with pytest.raises(ValueError):
         _adjointness_surjective(4, 4, C3)
+
+
+# ---------------------------------------------------------------------------
+# formal ("trivial") relations among the underline symbols
+# ---------------------------------------------------------------------------
+
+def verify_trivial_relations(n, lam, ctx):
+    """The two systems of formal relations between shifted underline elements
+    and the decorated elements, expanded to plain vectors in M_n(lam); each
+    check names its first failing split of the word.  The underline vectors
+    are read through the module, so a patched `weightmod.underline_vect`
+    reaches them."""
+    label = WeightLabel(n, lam)
+    n1, n2 = label.n1, label.n2
+
+    def tl_failures():
+        for l1 in range(n - 3):
+            for l2 in range(n - 3 - l1):
+                l3 = n - 4 - l1 - l2
+                for w1 in all_words(l1):
+                    for w2 in all_words(l2):
+                        for w3 in all_words(l3):
+                            if (w1 + w2 + w3).count("1") != n1 - 2:
+                                continue
+                            lhs = vec_sub(
+                                vec_scale(weightmod.underline_vect(w1 + "12" + w2, w3,
+                                                         ctx), ctx.qinv),
+                                weightmod.underline_vect(w1 + "21" + w2, w3, ctx))
+                            rhs = vec_sub(
+                                vec_scale(weightmod.underline_vect(w1, w2 + "12" + w3,
+                                                         ctx), ctx.qinv),
+                                weightmod.underline_vect(w1, w2 + "21" + w3, ctx))
+                            if lhs != rhs:
+                                yield w1 + "|" + w2 + "|" + w3
+
+    def decorated_failures():
+        for l1 in range(n - 3):
+            l2 = n - 4 - l1
+            for w1 in all_words(l1):
+                for w2 in all_words(l2):
+                    if (w1 + w2).count("1") != n1 - 2:
+                        continue
+                    lhs = vec_sub(
+                        vec_scale(decorated_vect(w1 + "12" + w2, label, ctx),
+                                  ctx.qinv),
+                        decorated_vect(w1 + "21" + w2, label, ctx))
+                    rhs = _decorated_combination(
+                        weightmod.underline_vect("1" + w1, w2 + "2", ctx),
+                        weightmod.underline_vect("2" + w1, w2 + "1", ctx), label, ctx)
+                    if lhs != rhs:
+                        yield w1 + "|" + w2
+
+    checks = []
+    for name, failures in (("shift_relation_tl", tl_failures),
+                           ("shift_relation_decorated", decorated_failures)):
+        bad = next(failures(), None) if n1 >= 2 and n2 >= 2 else None
+        checks.append(RelationCheck(name, bad is None, bad))
+    return checks
 
 
 def test_trivial_relations():
