@@ -13,10 +13,9 @@ The scalars are expressed through the context as [2] = q + q^-1,
 checks run unchanged on swapped or otherwise generalized parameters.
 
 `MatrixRep` is the one matrix representation: it stores X and g_1 .. g_{n-1}
-and derives the blob generators from them once, at construction, and the
-Jucys-Murphy elements X_k and the central products z_k on first use.  The
-abstract algebra is never materialized as a based algebra; only the action
-matters here.
+and derives from them, on first use, the blob generators, the Jucys-Murphy
+elements X_k and the central products z_k.  The abstract algebra is never
+materialized as a based algebra; only the action matters here.
 """
 
 from __future__ import annotations
@@ -33,18 +32,14 @@ from .tensor import (verify_ariki_koike, verify_blob_identity,
 
 class MatrixRep:
     """A representation by matrices (columns are images) on an ordered list
-    of labels: X, and g_i for i = 1 .. n-1 in the dict g.  The blob
-    generators U_0 = X - lam1 and U_i = g_i - q are derived here, once,
-    unless the caller passes U_1 .. U_{n-1} as `gen_u`."""
+    of labels: X, and g_i for i = 1 .. n-1 in the dict g.  It derives the
+    blob generators U itself, on first use."""
 
-    def __init__(self, labels, x, g, ctx, gen_u=None):
+    def __init__(self, labels, x, g, ctx):
         self.labels = labels
         self.x = x
         self.g = g
         self.ctx = ctx
-        if gen_u is None:
-            gen_u = [mat_sub_scalar_diag(g[i], ctx.q) for i in sorted(g)]
-        self.U = [mat_sub_scalar_diag(x, ctx.lam1)] + gen_u
 
     @property
     def dim(self):
@@ -53,6 +48,13 @@ class MatrixRep:
     @property
     def n(self):
         return len(self.g) + 1
+
+    @cached_property
+    def U(self):
+        """[U_0, ..., U_{n-1}]: U_0 = X - lam1 and U_i = g_i - q."""
+        ctx = self.ctx
+        return [mat_sub_scalar_diag(self.x, ctx.lam1)] + \
+            [mat_sub_scalar_diag(self.g[i], ctx.q) for i in sorted(self.g)]
 
     @cached_property
     def xk(self):

@@ -9,12 +9,11 @@ identity.
 `evaluate` checks lhs = rhs as matrices on each block of a representation.
 A block is (basis, matrices) with `matrices` mapping every generator symbol
 to its column matrix on `basis`.  For V^(x)n the blocks are the weight
-modules M_n(lam) (`weightmod.module_blocks`, extended with further operators
-by `tensor.weight_blocks`): their bases cover every basis word because every
-operator keeps the weight.  A failing relation names its witness: the
-smallest basis label, over all blocks and whatever the order within a block,
-whose columns differ -- for V^(x)n the first word of `all_words(n)` on which
-the two sides differ.
+modules M_n(lam) (`weightmod.module_blocks`): their bases cover every basis
+word because every operator keeps the weight.  A failing relation names its
+witness: the smallest basis label, over all blocks and whatever the order
+within a block, whose columns differ -- for V^(x)n the first word of
+`all_words(n)` on which the two sides differ.
 """
 
 from __future__ import annotations

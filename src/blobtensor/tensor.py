@@ -1,15 +1,16 @@
 """The rank-two tensor space and its Hecke-algebra operators.
 
 Basis vectors of V^(x)n are words over {1, 2}, written as strings ('112' is
-v1 (x) v1 (x) v2).  Each operator is stated once, as a rule on basis words
-(`op_T_ctx`, `op_T_inv_ctx`, `op_S_ctx`, `op_varpi_ctx`, `op_theta_ctx`),
-kept lazily in a `LinOp` and applied by linearity; matrices are only
-materialized on weight subspaces, never on the full 2^n-dimensional space.
-The lazy composites (`op_X_ctx`, `ops_Xk_ctx`) are the word-level
-reference: the relation suites read their block matrices from the weight
-modules and the block operator tables (`weightmod.block_operators`), which
-build every two-letter operator once per block through `LinOp.matrix` and
-form X as a product of those matrices.
+v1 (x) v1 (x) v2).  T_i, T_i^-1 and S_i act as id (x) R (x) id on the
+letters at positions (i-1, i), and each R is stated once, as a table of the
+images of '11', '12', '21' and '22' (`op_T_ctx`, `op_T_inv_ctx`,
+`op_S_ctx`); varpi and theta are rules on whole words (`op_varpi_ctx`,
+`op_theta_ctx`).  Each operator is kept lazily in a `LinOp` and applied by
+linearity; matrices are only materialized on weight subspaces, never on the
+full 2^n-dimensional space.  The lazy composites (`op_X_ctx`, `ops_Xk_ctx`)
+are the word-level reference: the relation suites read their block matrices
+from `weightmod.module_blocks`, which takes them from the weight modules and
+the block operator tables.
 
 Conventions:
 
@@ -114,59 +115,42 @@ class LinOp:
 # the defining operators
 # ---------------------------------------------------------------------------
 
-def _check_index(i, n):
+def _lift(i, n, ctx, name, table):
+    """id (x) R (x) id on V^(x)n, with R acting on the letters at positions
+    (i-1, i) by its table: the image of each of '11', '12', '21', '22' as a
+    dict pair -> coefficient."""
     if not 2 <= i <= n:
         raise ValueError(f"index {i} out of range 2..{n}")
 
+    def rule(w):
+        pair = w[i - 2:i]
+        out = {}
+        for ab, c in table[pair].items():
+            out[w if ab == pair else w[:i - 2] + ab + w[i:]] = c
+        return out
+
+    return LinOp(n, ctx, rule, name=name)
+
 
 def op_T_ctx(i, n, ctx):
-    _check_index(i, n)
-    q = ctx.q
-    one = ctx.one
-    qmq = ctx.q_minus_qinv
-
-    def rule(w):
-        a, b = w[i - 2], w[i - 1]
-        if a == b:
-            return {w: q}
-        swapped = w[: i - 2] + b + a + w[i:]
-        if a == "2":
-            return {swapped: one}
-        return {swapped: one, w: qmq}
-
-    return LinOp(n, ctx, rule, name=f"T{i}")
+    q, one = ctx.q, ctx.one
+    return _lift(i, n, ctx, f"T{i}", {
+        "11": {"11": q}, "12": {"21": one, "12": ctx.q_minus_qinv},
+        "21": {"12": one}, "22": {"22": q}})
 
 
 def op_T_inv_ctx(i, n, ctx):
-    _check_index(i, n)
-    qinv = ctx.qinv
-    one = ctx.one
-    qmq = ctx.q_minus_qinv
-
-    def rule(w):
-        a, b = w[i - 2], w[i - 1]
-        if a == b:
-            return {w: qinv}
-        swapped = w[: i - 2] + b + a + w[i:]
-        if a == "1":
-            return {swapped: one}
-        return {swapped: one, w: -qmq}
-
-    return LinOp(n, ctx, rule, name=f"T{i}^-1")
+    qinv, one = ctx.qinv, ctx.one
+    return _lift(i, n, ctx, f"T{i}^-1", {
+        "11": {"11": qinv}, "12": {"21": one},
+        "21": {"12": one, "21": -ctx.q_minus_qinv}, "22": {"22": qinv}})
 
 
-def op_S_ctx(j, n, ctx):
-    _check_index(j, n)
-    q = ctx.q
-    one = ctx.one
-
-    def rule(w):
-        a, b = w[j - 2], w[j - 1]
-        if a == b:
-            return {w: q}
-        return {w[: j - 2] + b + a + w[j:]: one}
-
-    return LinOp(n, ctx, rule, name=f"S{j}")
+def op_S_ctx(i, n, ctx):
+    q, one = ctx.q, ctx.one
+    return _lift(i, n, ctx, f"S{i}", {
+        "11": {"11": q}, "12": {"21": one}, "21": {"12": one},
+        "22": {"22": q}})
 
 
 def op_varpi_ctx(n, ctx):
@@ -219,26 +203,14 @@ def ops_Xk_ctx(n, ctx):
 # relation verification
 # ---------------------------------------------------------------------------
 
-def weight_blocks(n, ctx, ops=()):
-    """(basis, matrices) for each block of V^(x)n: the `module_blocks` of the
-    cached weight modules M_n(lam) with T{i}^-1 and S{i} from the block
-    operator tables, each extended with the matrix of every LinOp in `ops`
-    keyed by its name."""
-    from .weightmod import module_blocks
-
-    for basis, mats in module_blocks(n, ctx, local=True):
-        yield basis, dict(mats, **{op.name: op.matrix(basis) for op in ops})
-
-
 def verify_ariki_koike(n, ctx):
     """Check the defining relations on every basis word of V^(x)n, through
-    the matrices on each weight block: X and T2 .. Tn are those of the
-    cached weight modules M_n(lam), T_i^-1 and S_i those of the block
-    operator tables, and varpi and theta*varpi are built from their rules on
-    the block bases.  Returns one RelationCheck per relation."""
+    the matrices of `weightmod.module_blocks` on each weight block.  Returns
+    one RelationCheck per relation."""
+    from .weightmod import module_blocks
+
     if n < 2:
         raise ValueError("relation suite needs n >= 2")
-    ops = [op_varpi_ctx(n, ctx), op_theta_varpi_ctx(n, ctx)]
     rels = ariki_koike_relations([f"T{i}" for i in range(2, n + 1)], ctx,
                                  identity=False)
     # grouped by name prefix, prefixes ranked by first appearance (the keys
@@ -251,7 +223,7 @@ def verify_ariki_koike(n, ctx):
         word(*(f"S{j}" for j in range(n, 1, -1)), "varpi")))
     rels += [Relation(f"two_sided_inverse(T{i})", word(f"T{i}^-1", f"T{i}"),
                       word()) for i in range(2, n + 1)]
-    return evaluate(rels, weight_blocks(n, ctx, ops), ctx.one)
+    return evaluate(rels, module_blocks(n, ctx), ctx.one)
 
 
 def verify_partial_rotation_fixing(n, ctx):
@@ -262,10 +234,12 @@ def verify_partial_rotation_fixing(n, ctx):
     position p and Q_p = I - P_p, this is Q_p R_p = Q_p for j = 1 and
     R_p P_p = P_p for j = 2.  On each weight block R_n = I and
     R_{p-1} = T_p^-1 R_p S_p.  One RelationCheck per (j, p), j = 1 first."""
+    from .weightmod import module_blocks
+
     one = ctx.one
 
     def blocks():
-        for basis, mats in weight_blocks(n, ctx):
+        for basis, mats in module_blocks(n, ctx):
             r = mat_identity(len(basis), one)
             for p in range(n, 0, -1):
                 twos = [w[p - 1] == "2" for w in basis]

@@ -28,9 +28,9 @@ from functools import cached_property, lru_cache
 from math import comb
 
 from .blob import MatrixRep
-from .linalg import (SpanSolver, certified_rank, invariant_closure, mat_mul,
-                     mat_scale, mat_sub_scalar_diag, mat_vec, span_rank,
-                     vec_add_scaled, vec_scale, vec_sub)
+from .linalg import (SpanSolver, certified_rank, invariant_closure,
+                     mat_identity, mat_mul, mat_scale, mat_sub_scalar_diag,
+                     mat_vec, span_rank, vec_add_scaled, vec_scale, vec_sub)
 from .scalars import FieldContext, context, residues_equal
 from .tensor import (op_S_ctx, op_T_ctx, op_T_inv_ctx, op_theta_ctx,
                      weight_words)
@@ -85,11 +85,12 @@ def weight_basis(n, lam):
 
 class BlockOperators:
     """The operators of the block M_n(lam) that depend on q alone, on its
-    weight basis: T_i (i = 2..n) from its two-letter rule, U_i = T_{i+1} - q
-    (i = 1..n-1), and P = T_2^-1 ... T_n^-1 theta, so that X = P varpi.  The
-    matrices of T_i^-1 and S_i (i = 2..n), which only the relation suites
-    read, are kept from their first use on.  The rules run in a context
-    without lambda1 and lambda2, so none of these can read them."""
+    weight basis: T_i (i = 2..n) from its two-letter table,
+    U_i = T_{i+1} - q (i = 1..n-1), and P = T_2^-1 ... T_n^-1 theta, so that
+    X = P varpi.  The matrices of T_i^-1 and S_i (i = 2..n) and of theta,
+    which only `module_blocks` reads, are kept from their first use on.  The
+    tables and rules run in a context without lambda1 and lambda2, so none
+    of these can read them."""
 
     def __init__(self, n, lam, field, q):
         self.n = n
@@ -105,7 +106,7 @@ class BlockOperators:
         self.P = p
 
     def _matrices(self, op):
-        """{i: the matrix of op(i, n)} for i = 2..n, from its rule."""
+        """{i: the matrix of op(i, n)} for i = 2..n, from its table."""
         return {i: op(i, self.n, self.ctx).matrix(self.basis)
                 for i in range(2, self.n + 1)}
 
@@ -117,6 +118,10 @@ class BlockOperators:
     def S(self):
         return self._matrices(op_S_ctx)
 
+    @cached_property
+    def theta(self):
+        return op_theta_ctx(self.n, self.ctx).matrix(self.basis)
+
 
 # keyed by field and q, not by the context: the contexts of one field and q
 # (a context and its lambda-swapped one) share a block's table
@@ -125,23 +130,29 @@ def block_operators(n, lam, field, q):
     return BlockOperators(n, lam, field, q)
 
 
+def _times_varpi(mat, basis, ctx):
+    """mat varpi: column j scaled by the lambda of its word's first letter."""
+    lam1, lam2 = ctx.lam1, ctx.lam2
+    return [vec_scale(col, lam1 if w[0] == "1" else lam2)
+            for w, col in zip(basis, mat)]
+
+
 class WeightModule(MatrixRep):
     """M_n(lam) as a matrix representation on its weight basis: X, g_i the
-    matrix of T_{i+1}, and the derived U_0 .. U_{n-1} (columns are images,
-    in the weight_basis order).  Only X = P varpi and U_0 = X - lam1 are
-    built here; g_i and U_1 .. U_{n-1} are those of the block's operator
-    table, shared with every context of the same field and q."""
+    matrix of T_{i+1}, and U_0 .. U_{n-1} (columns are images, in the
+    weight_basis order).  Only X = P varpi and U_0 = X - lam1 are built
+    here; g_i and U_1 .. U_{n-1} are those of the block's operator table,
+    shared with every context of the same field and q."""
 
     def __init__(self, n, lam, ctx):
         self.lam = lam
         self.label = WeightLabel(n, lam)
         ops = block_operators(n, lam, ctx.field, ctx.q)
         self.index = ops.index
-        lam1, lam2 = ctx.lam1, ctx.lam2
-        x = [vec_scale(col, lam1 if w[0] == "1" else lam2)
-             for w, col in zip(ops.basis, ops.P)]
-        super().__init__(ops.basis, x,
-                         {i - 1: t for i, t in ops.T.items()}, ctx, ops.U)
+        x = _times_varpi(ops.P, ops.basis, ctx)
+        super().__init__(ops.basis, x, {i - 1: t for i, t in ops.T.items()},
+                         ctx)
+        self.U = [mat_sub_scalar_diag(x, ctx.lam1)] + ops.U
 
     @property
     def basis(self):
@@ -169,20 +180,27 @@ def weight_module(n, lam, ctx):
     return WeightModule(n, lam, ctx)
 
 
-def module_blocks(n, ctx, local=False):
-    """(basis, matrices) blocks of V^(x)n for `relations.evaluate`: one per
-    cached M_n(lam), lam in Lambda_n, whose bases partition the words.  The
-    matrices are named X, T2 .. Tn and U0 .. U{n-1}; with `local` also
-    T2^-1 .. Tn^-1 and S2 .. Sn, from the block operator tables."""
+def module_blocks(n, ctx):
+    """(basis, matrices) blocks of V^(x)n for `relations.evaluate`, the one
+    block builder of the relation suites: one per cached M_n(lam), lam in
+    Lambda_n, whose bases partition the words because every operator keeps
+    the weight.  The matrices are named X, T2 .. Tn, U0 .. U{n-1},
+    T2^-1 .. Tn^-1, S2 .. Sn, varpi and theta*varpi; X and U0 are the
+    module's, the two-letter operators the block operator table's, and
+    theta*varpi is formed from the table's theta as X is from P."""
     for lam in lambda_range(n):
         module = weight_module(n, lam, ctx)
-        mats = {f"T{i + 1}": g for i, g in module.g.items()}
-        mats.update({f"U{i}": u for i, u in enumerate(module.U)}, X=module.x)
-        if local:
-            ops = block_operators(n, lam, ctx.field, ctx.q)
-            for i in range(2, n + 1):
-                mats[f"T{i}^-1"], mats[f"S{i}"] = ops.T_inv[i], ops.S[i]
-        yield module.basis, mats
+        ops = block_operators(n, lam, ctx.field, ctx.q)
+        basis = module.basis
+        mats = {f"U{i}": u for i, u in enumerate(module.U)}
+        for i in range(2, n + 1):
+            mats[f"T{i}"], mats[f"T{i}^-1"], mats[f"S{i}"] = \
+                ops.T[i], ops.T_inv[i], ops.S[i]
+        mats["X"] = module.x
+        mats["varpi"] = _times_varpi(mat_identity(module.dim, ctx.one),
+                                     basis, ctx)
+        mats["theta*varpi"] = _times_varpi(ops.theta, basis, ctx)
+        yield basis, mats
 
 
 # ---------------------------------------------------------------------------

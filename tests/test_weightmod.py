@@ -6,7 +6,7 @@ from math import comb
 
 import pytest
 
-from blobtensor import weightmod
+from blobtensor import specht, towers, weightmod
 from blobtensor.blob import dualize
 from blobtensor.cli import main
 from blobtensor.linalg import (SpanSolver, mat_is_zero, mat_mul,
@@ -133,43 +133,94 @@ def _ref_matrix(basis, rule):
     return [{index[u]: c for u, c in rule(w).items()} for w in basis]
 
 
-def _ref_x(n, rules, one):
-    """X = T_2^-1 ... T_n^-1 S_n ... S_2 varpi on one word, rule by rule."""
+def _ref_theta_varpi(n, rules, one):
+    """theta varpi = S_n ... S_2 varpi on one word, rule by rule."""
     def rule(w):
         vec = _ref_apply(rules["varpi"], {w: one})
         for i in range(2, n + 1):
             vec = _ref_apply(rules["S"](i), vec)
+        return vec
+    return rule
+
+
+def _ref_x(n, rules, one):
+    """X = T_2^-1 ... T_n^-1 S_n ... S_2 varpi on one word, rule by rule."""
+    theta_varpi = _ref_theta_varpi(n, rules, one)
+
+    def rule(w):
+        vec = theta_varpi(w)
         for i in range(n, 1, -1):
             vec = _ref_apply(rules["T_inv"](i), vec)
         return vec
     return rule
 
 
+def _ref_block(n, basis, ctx, rules):
+    """Every matrix that module_blocks names, from the word rules."""
+    x = _ref_x(n, rules, ctx.one)
+    named = {"X": x, "U0": _ref_minus(x, ctx.lam1), "varpi": rules["varpi"],
+             "theta*varpi": _ref_theta_varpi(n, rules, ctx.one)}
+    for i in range(2, n + 1):
+        named[f"T{i}"] = rules["T"](i)
+        named[f"T{i}^-1"] = rules["T_inv"](i)
+        named[f"S{i}"] = rules["S"](i)
+        named[f"U{i - 1}"] = _ref_minus(rules["T"](i), ctx.q)
+    return {name: _ref_matrix(basis, rule) for name, rule in named.items()}
+
+
 @pytest.mark.parametrize("params", TABLE_PARAMS, ids=["generic", "l5", "l7"])
 def test_block_tables_match_the_word_rules(params):
-    # every table matrix, and X, g and U of every module, for n <= 6
+    # every matrix of every relation block, and g of every module, for n <= 6
     ctx = context(params)
     rules = _ref_rules(ctx)
     for n in range(1, 7):
-        for lam in lambda_range(n):
+        blocks = list(weightmod.module_blocks(n, ctx))
+        assert len(blocks) == len(lambda_range(n))
+        for lam, (basis, mats) in zip(lambda_range(n), blocks):
             ops = weightmod.block_operators(n, lam, ctx.field, ctx.q)
             module = weight_module(n, lam, ctx)
-            basis = weight_basis(n, lam)
-            assert ops.basis == module.basis == basis
-            indices = range(2, n + 1)
-            for name, mats in (("T", ops.T), ("T_inv", ops.T_inv),
-                               ("S", ops.S)):
-                assert list(mats) == list(indices), name
-                for i in indices:
-                    assert mats[i] == _ref_matrix(basis, rules[name](i)), \
-                        (name, i, n, lam)
-            for i in indices:
-                u = _ref_matrix(basis, _ref_minus(rules["T"](i), ctx.q))
-                assert ops.U[i - 2] == module.U[i - 1] == u, (i, n, lam)
-                assert module.g[i - 1] == ops.T[i]
-            x = _ref_x(n, rules, ctx.one)
-            assert module.x == _ref_matrix(basis, x), (n, lam)
-            assert module.U[0] == _ref_matrix(basis, _ref_minus(x, ctx.lam1))
+            assert ops.basis == module.basis == basis == weight_basis(n, lam)
+            ref = _ref_block(n, basis, ctx, rules)
+            assert mats.keys() == ref.keys(), (n, lam)
+            for name, mat in mats.items():
+                assert mat == ref[name], (name, n, lam)
+            assert module.g == {i - 1: ops.T[i] for i in range(2, n + 1)}
+
+
+def _fresh_tables(monkeypatch):
+    """Fresh table and module caches for the whole package; returns the list
+    that every table built from now on is appended to."""
+    tables = []
+
+    def table(*key):
+        tables.append(weightmod.BlockOperators(*key))
+        return tables[-1]
+
+    monkeypatch.setattr(weightmod, "block_operators",
+                        lru_cache(maxsize=None)(table))
+    module = lru_cache(maxsize=None)(weightmod.WeightModule)
+    for home in (weightmod, towers, specht):
+        monkeypatch.setattr(home, "weight_module", module)
+    return tables
+
+
+def test_only_the_relation_suites_keep_the_extra_matrices(monkeypatch,
+                                                          tmp_path):
+    # T^-1, S and theta stay off the tables of the adjointness and restrict
+    # points: keeping T^-1 there raised the peak memory of restrict
+    extra = {"T_inv", "S", "theta"}
+    out = str(tmp_path / "report.json")
+    for argv in (["adjointness", "--n", "6", "--lambda", "0"],
+                 ["restrict", "--n", "6", "--lambda", "all"]):
+        tables = _fresh_tables(monkeypatch)
+        assert main([*argv, "--l", "5", "--m", "2", "--out", out]) == 0
+        assert tables and all(extra.isdisjoint(vars(t)) for t in tables), \
+            argv
+    tables = _fresh_tables(monkeypatch)
+    assert main(["verify-relations", "--n", "4", "--l", "5", "--m", "2",
+                 "--out", out]) == 0
+    assert len(tables) == len(lambda_range(4))
+    assert all(extra <= vars(t).keys() for t in tables)
 
 
 def test_swapped_context_shares_the_table():
