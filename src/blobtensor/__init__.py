@@ -12,8 +12,9 @@ from .tensor import (LinOp, all_words, op_S_ctx, op_T_ctx, op_T_inv_ctx,
                      verify_partial_rotation_fixing, weight_words)
 from .blob import verify_blob_relations, verify_relation_suite
 from .weightmod import (WeightLabel, WeightModule, adjointness_record,
-                        lambda_range, localized_dim, special_element_scalar,
-                        underline_map, weight_basis, weight_module)
+                        lambda_range, localized_dim, module_blocks,
+                        special_element_scalar, underline_map, weight_basis,
+                        weight_module)
 from .specht import (Bitableau, MatrixRep, Shape, build_S_prime, col_shape,
                      dual_adjointness_check, dualize, gi_action, phi_map,
                      row_shape, standard_bitableaux)

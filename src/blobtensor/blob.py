@@ -21,7 +21,7 @@ materialized as a based algebra; only the action matters here.
 from __future__ import annotations
 
 from functools import cached_property
-from itertools import accumulate
+from itertools import accumulate, tee
 
 from .linalg import mat_mul, mat_sub_scalar_diag, mat_transpose
 from .relations import (ZERO, Relation, ariki_koike_relations, blob_identity,
@@ -82,14 +82,12 @@ def dualize(rep):
 # relation checks
 # ---------------------------------------------------------------------------
 
-def verify_blob_relations(n, ctx):
+def verify_blob_relations(n, ctx, blocks):
     """Check every defining relation of the blob algebra on every basis word
-    of V^(x)n, through the matrices of the weight modules M_n(lam); n = 1
-    has only U0."""
-    from .weightmod import module_blocks
-
+    of V^(x)n, through the matrices of the weight blocks; n = 1 has only
+    U0."""
     return evaluate(blob_relations([f"U{i}" for i in range(n)], ctx),
-                    module_blocks(n, ctx), ctx.one)
+                    blocks, ctx.one)
 
 
 def blob_relation_checks_matrices(um, ctx, prefix=""):
@@ -113,13 +111,11 @@ def ariki_koike_checks_matrices(xm, gm, ctx, prefix=""):
                     [(range(len(xm)), dict(g, X=xm))], ctx.one)
 
 
-def verify_ideal_generators(n, ctx):
+def verify_ideal_generators(n, ctx, blocks):
     """Both descriptions of the quotient ideal annihilate the tensor space:
     (X1 X2 - lam1 lam2)(T2 - q) = 0, which is the blob identity since
     X2 = T2 X T2, and (X1 + X2 - lam1 - lam2)(T2 - q) = 0; checked on the
-    weight modules M_n(lam)."""
-    from .weightmod import module_blocks
-
+    weight blocks."""
     bminus = (("T2",), ctx.q)
     rels = [
         blob_identity("T2", ctx)._replace(name="ideal_product_form"),
@@ -128,16 +124,17 @@ def verify_ideal_generators(n, ctx):
                  + product((("T2", "X", "T2"), ctx.lam1 + ctx.lam2), bminus),
                  ZERO),
     ]
-    return evaluate(rels, module_blocks(n, ctx), ctx.one)
+    return evaluate(rels, blocks, ctx.one)
 
 
-def verify_relation_suite(n, ctx):
-    """Every relation check of one verify-relations grid point, in report
-    order: the Ariki-Koike relations, the blob identity, the blob relations,
-    the ideal generators and the partial rotations."""
-    checks = verify_ariki_koike(n, ctx)
-    checks += verify_blob_identity(n, ctx)
-    checks += verify_blob_relations(n, ctx)
-    checks += verify_ideal_generators(n, ctx)
-    checks += verify_partial_rotation_fixing(n, ctx)
-    return checks
+def verify_relation_suite(n, ctx, blocks):
+    """Every relation check of one verify-relations grid point on one
+    stream of weight blocks, in report order: the Ariki-Koike relations,
+    the blob identity, the blob relations, the ideal generators and the
+    partial rotations."""
+    # tee, not list: each block is built once, while the first suite reads it
+    streams = tee(blocks, 5)
+    suites = (verify_ariki_koike, verify_blob_identity, verify_blob_relations,
+              verify_ideal_generators, verify_partial_rotation_fixing)
+    return [c for suite, stream in zip(suites, streams)
+            for c in suite(n, ctx, stream)]

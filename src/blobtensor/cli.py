@@ -193,9 +193,10 @@ def _with_checks(record, checks):
 # ---------------------------------------------------------------------------
 
 def _relations_point(params, ctx, lam):
+    blocks = weightmod.module_blocks(params.n, ctx)
     return _with_checks({"n": params.n, "l": params.l, "m": params.m,
                          "backend": params.backend},
-                        blob.verify_relation_suite(params.n, ctx))
+                        blob.verify_relation_suite(params.n, ctx, blocks))
 
 
 def _adjointness_point(params, ctx, lam):

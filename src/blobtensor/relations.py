@@ -8,7 +8,8 @@ identity.
 
 `evaluate` checks lhs = rhs as matrices on each block of a representation.
 A block is (basis, matrices) with `matrices` mapping every generator symbol
-to its column matrix on `basis`.  For V^(x)n the blocks are the weight
+to its column matrix on `basis`; the blocks are read once, and no block at
+all is an error, not a pass.  For V^(x)n the blocks are the weight
 modules M_n(lam) (`weightmod.module_blocks`): their bases cover every basis
 word because every operator keeps the weight.  A failing relation names its
 witness: the smallest basis label, over all blocks and whatever the order
@@ -124,9 +125,12 @@ def blob_relations(u, ctx):
 # ---------------------------------------------------------------------------
 
 def evaluate(relations, blocks, one):
-    """One RelationCheck per relation, in order, over all blocks."""
+    """One RelationCheck per relation, in order, over all blocks; raises
+    ValueError on an empty block stream, which would pass vacuously."""
     witness = [None] * len(relations)
+    seen = False
     for basis, mats in blocks:
+        seen = True
         dim = len(basis)
         products = {(): mat_identity(dim, one)}
         for k, rel in enumerate(relations):
@@ -137,6 +141,8 @@ def evaluate(relations, blocks, one):
             bad = min(basis[j] for j in range(dim) if lhs[j] != rhs[j])
             if witness[k] is None or bad < witness[k]:
                 witness[k] = bad
+    if not seen:
+        raise ValueError("no block to check the relations on")
     return [RelationCheck(rel.name, bad is None, bad)
             for rel, bad in zip(relations, witness)]
 

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import math
 import os
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache, reduce
 
@@ -894,6 +895,7 @@ def specialize(x, field):
 # parameters
 # ---------------------------------------------------------------------------
 
+@dataclass(frozen=True, slots=True)
 class BlobParams:
     """Parameter set (n, l, m): tensor length n, order l of the root of unity
     (0 = generic q), and the integer blob parameter m.
@@ -901,23 +903,9 @@ class BlobParams:
     Validity: l = 0 or l odd >= 3, and m not congruent to 0 or 1 mod l
     (these would force lambda1 = lambda2 or lambda1 = q^2*lambda2)."""
 
-    __slots__ = ("n", "l", "m")
-
-    def __init__(self, n, l, m):
-        self.n = n
-        self.l = l
-        self.m = m
-
-    def __eq__(self, other):
-        if not isinstance(other, BlobParams):
-            return NotImplemented
-        return (self.n, self.l, self.m) == (other.n, other.l, other.m)
-
-    def __hash__(self):
-        return hash((self.n, self.l, self.m))
-
-    def __repr__(self):
-        return f"BlobParams(n={self.n}, l={self.l}, m={self.m})"
+    n: int
+    l: int
+    m: int
 
     @property
     def backend(self):

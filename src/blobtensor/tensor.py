@@ -8,9 +8,9 @@ images of '11', '12', '21' and '22' (`op_T_ctx`, `op_T_inv_ctx`,
 `op_theta_ctx`).  Each operator is kept lazily in a `LinOp` and applied by
 linearity; matrices are only materialized on weight subspaces, never on the
 full 2^n-dimensional space.  The lazy composites (`op_X_ctx`, `ops_Xk_ctx`)
-are the word-level reference: the relation suites read their block matrices
-from `weightmod.module_blocks`, which takes them from the weight modules and
-the block operator tables.
+are the word-level reference: the relation suites check the blocks they are
+handed, for V^(x)n those of `weightmod.module_blocks`, which takes them from
+the weight modules and the block operator tables.
 
 Conventions:
 
@@ -203,12 +203,10 @@ def ops_Xk_ctx(n, ctx):
 # relation verification
 # ---------------------------------------------------------------------------
 
-def verify_ariki_koike(n, ctx):
+def verify_ariki_koike(n, ctx, blocks):
     """Check the defining relations on every basis word of V^(x)n, through
-    the matrices of `weightmod.module_blocks` on each weight block.  Returns
-    one RelationCheck per relation."""
-    from .weightmod import module_blocks
-
+    the matrices of each weight block in `blocks`.  Returns one
+    RelationCheck per relation."""
     if n < 2:
         raise ValueError("relation suite needs n >= 2")
     rels = ariki_koike_relations([f"T{i}" for i in range(2, n + 1)], ctx,
@@ -223,23 +221,23 @@ def verify_ariki_koike(n, ctx):
         word(*(f"S{j}" for j in range(n, 1, -1)), "varpi")))
     rels += [Relation(f"two_sided_inverse(T{i})", word(f"T{i}^-1", f"T{i}"),
                       word()) for i in range(2, n + 1)]
-    return evaluate(rels, module_blocks(n, ctx), ctx.one)
+    return evaluate(rels, blocks, ctx.one)
 
 
-def verify_partial_rotation_fixing(n, ctx):
+def verify_partial_rotation_fixing(n, ctx, blocks):
     """The partial rotations R_p = T_{p+1}^-1 ... T_n^-1 S_n ... S_{p+1} fix
     the position-p filtration: for j = 1, 2 and every basis word v with
     letter >= j at position p, R_p v - v lies in the span of the words with
     letter >= j+1 there.  With P_p the projection onto the words with a 2 at
     position p and Q_p = I - P_p, this is Q_p R_p = Q_p for j = 1 and
     R_p P_p = P_p for j = 2.  On each weight block R_n = I and
-    R_{p-1} = T_p^-1 R_p S_p.  One RelationCheck per (j, p), j = 1 first."""
-    from .weightmod import module_blocks
-
+    R_{p-1} = T_p^-1 R_p S_p, and R_p, P_p and Q_p go into a copy of each
+    block's matrices.  One RelationCheck per (j, p), j = 1 first."""
     one = ctx.one
 
-    def blocks():
-        for basis, mats in module_blocks(n, ctx):
+    def with_rotations():
+        for basis, mats in blocks:
+            mats = dict(mats)
             r = mat_identity(len(basis), one)
             for p in range(n, 0, -1):
                 twos = [w[p - 1] == "2" for w in basis]
@@ -259,19 +257,17 @@ def verify_partial_rotation_fixing(n, ctx):
     rels += [Relation(f"rotation_fixes_filtration(2,{p})",
                       word(f"R{p}", f"P{p}"), word(f"P{p}"))
              for p in positions]
-    return evaluate(rels, blocks(), one)
+    return evaluate(rels, with_rotations(), one)
 
 
-def verify_blob_identity(n, ctx):
+def verify_blob_identity(n, ctx, blocks):
     """The quotient identity (X T2 X T2 - lam1*lam2)(T2 - q) = 0 on every
     basis word, and its commuted form, through the matrices of the weight
-    modules M_n(lam)."""
-    from .weightmod import module_blocks
-
+    blocks."""
     rel = blob_identity("T2", ctx)
     commuted = Relation(rel.name + "_commuted",
                         product(*reversed(rel.lhs[0][1])), rel.rhs)
-    checks = evaluate([rel, commuted], module_blocks(n, ctx), ctx.one)
+    checks = evaluate([rel, commuted], blocks, ctx.one)
     # kept for report stability: the same verdict as the identity itself
     checks.append(RelationCheck(rel.name + "_dense_oracle", checks[0].ok))
     return checks

@@ -24,7 +24,7 @@ criterion degenerates to the integer test n2 != m.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from math import comb
 
 from .blob import MatrixRep
@@ -87,10 +87,9 @@ class BlockOperators:
     """The operators of the block M_n(lam) that depend on q alone, on its
     weight basis: T_i (i = 2..n) from its two-letter table,
     U_i = T_{i+1} - q (i = 1..n-1), and P = T_2^-1 ... T_n^-1 theta, so that
-    X = P varpi.  The matrices of T_i^-1 and S_i (i = 2..n) and of theta,
-    which only `module_blocks` reads, are kept from their first use on.  The
-    tables and rules run in a context without lambda1 and lambda2, so none
-    of these can read them."""
+    X = P varpi.  T_i^-1 and theta are built for P and dropped; the tables
+    and rules run in a context without lambda1 and lambda2, so none of these
+    can read them."""
 
     def __init__(self, n, lam, field, q):
         self.n = n
@@ -109,18 +108,6 @@ class BlockOperators:
         """{i: the matrix of op(i, n)} for i = 2..n, from its table."""
         return {i: op(i, self.n, self.ctx).matrix(self.basis)
                 for i in range(2, self.n + 1)}
-
-    @cached_property
-    def T_inv(self):
-        return self._matrices(op_T_inv_ctx)
-
-    @cached_property
-    def S(self):
-        return self._matrices(op_S_ctx)
-
-    @cached_property
-    def theta(self):
-        return op_theta_ctx(self.n, self.ctx).matrix(self.basis)
 
 
 # keyed by field and q, not by the context: the contexts of one field and q
@@ -182,24 +169,26 @@ def weight_module(n, lam, ctx):
 
 def module_blocks(n, ctx):
     """(basis, matrices) blocks of V^(x)n for `relations.evaluate`, the one
-    block builder of the relation suites: one per cached M_n(lam), lam in
-    Lambda_n, whose bases partition the words because every operator keeps
-    the weight.  The matrices are named X, T2 .. Tn, U0 .. U{n-1},
-    T2^-1 .. Tn^-1, S2 .. Sn, varpi and theta*varpi; X and U0 are the
-    module's, the two-letter operators the block operator table's, and
-    theta*varpi is formed from the table's theta as X is from P."""
+    block builder of the relation suites, called once per verify-relations
+    point: one per cached M_n(lam), lam in Lambda_n, whose bases partition
+    the words because every operator keeps the weight.  The matrices are
+    named X, T2 .. Tn, U0 .. U{n-1}, T2^-1 .. Tn^-1, S2 .. Sn, varpi and
+    theta*varpi; X and U0 are the module's, T_i and U_i (i >= 1) the block
+    operator table's, and the rest are built here for this point only."""
     for lam in lambda_range(n):
         module = weight_module(n, lam, ctx)
         ops = block_operators(n, lam, ctx.field, ctx.q)
         basis = module.basis
+        t_inv, s = ops._matrices(op_T_inv_ctx), ops._matrices(op_S_ctx)
         mats = {f"U{i}": u for i, u in enumerate(module.U)}
         for i in range(2, n + 1):
             mats[f"T{i}"], mats[f"T{i}^-1"], mats[f"S{i}"] = \
-                ops.T[i], ops.T_inv[i], ops.S[i]
+                ops.T[i], t_inv[i], s[i]
         mats["X"] = module.x
         mats["varpi"] = _times_varpi(mat_identity(module.dim, ctx.one),
                                      basis, ctx)
-        mats["theta*varpi"] = _times_varpi(ops.theta, basis, ctx)
+        theta = op_theta_ctx(n, ops.ctx).matrix(basis)
+        mats["theta*varpi"] = _times_varpi(theta, basis, ctx)
         yield basis, mats
 
 

@@ -32,7 +32,8 @@ def test_criterion_01_relation_suite():
     for l, m in RELATION_PARAMS:
         for n in range(2, 7):
             ctx = context(BlobParams(n, l, m))
-            checks = blob.verify_relation_suite(n, ctx)
+            checks = blob.verify_relation_suite(
+                n, ctx, weightmod.module_blocks(n, ctx))
             failures += [(n, l, m, c.name) for c in checks if not c.ok]
     _report(1, "relation suite exact on every basis word, n=2..6, "
                "generic and (l,m) in {(5,2),(5,3),(7,2),(7,3)}",

@@ -1,6 +1,7 @@
 """API guards: parameters stop at the CLI and the record builders, every
-name the benchmark trace wraps exists in the package, and every function in
-the package has a caller."""
+name the benchmark trace wraps exists in the package, every function in
+the package has a caller, every import sits at module level, and the
+README's example runs."""
 
 import ast
 import importlib
@@ -12,7 +13,8 @@ from types import SimpleNamespace
 from blobtensor import blob, specht, tensor, towers, weightmod
 from blobtensor.scalars import GENERIC, cyclotomic_field
 
-PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+ROOT = Path(__file__).resolve().parent.parent
+PERFBENCH = ROOT / "perfbench"
 
 # these write l and m into their records and compute the residue verdicts
 RECORD_BUILDERS = {"weightmod.adjointness_record",
@@ -179,3 +181,40 @@ def test_imports_are_used():
                     if name != "annotations" and name not in read:
                         unused.append(f"{path.stem}: {name}")
     assert not unused
+
+
+def test_imports_sit_at_module_level():
+    # an import inside a function is how an import cycle hides: the
+    # relation suites once imported weightmod, which imports blob, that way
+    nested = []
+    for path in sorted(Path(blob.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        top = {id(node) for node in tree.body}
+        nested += [f"{path.stem}:{node.lineno}" for node in ast.walk(tree)
+                   if isinstance(node, (ast.Import, ast.ImportFrom))
+                   and id(node) not in top]
+    assert not nested
+
+
+def test_readme_example_runs():
+    # the README's Python example as written, each statement run once; an
+    # expression whose comment starts with a literal must evaluate to it
+    text = (ROOT / "README.md").read_text()
+    code = text.split("```python\n", 1)[1].split("```", 1)[0]
+    lines = code.splitlines()
+    namespace = {}
+    checked = 0
+    for node in ast.parse(code).body:
+        if not isinstance(node, ast.Expr):
+            exec(compile(ast.Module([node], []), "README", "exec"), namespace)
+            continue
+        value = eval(compile(ast.Expression(node.value), "README", "eval"),
+                     namespace)
+        comment = lines[node.lineno - 1].partition("#")[2]
+        try:
+            expected = ast.literal_eval(comment.split("--")[0].strip())
+        except (ValueError, SyntaxError):
+            continue
+        assert value == expected, lines[node.lineno - 1]
+        checked += 1
+    assert checked

@@ -16,6 +16,7 @@ from blobtensor.tensor import (LinOp, all_words, op_S_ctx, op_T_ctx,
                                verify_blob_identity,
                                verify_partial_rotation_fixing,
                                weight_words)
+from blobtensor.weightmod import module_blocks
 
 C2 = context(BlobParams(2, 0, 2))
 C3 = context(BlobParams(3, 0, 2))
@@ -103,7 +104,8 @@ def test_Xk_index_errors():
     BlobParams(3, 0, 2), BlobParams(4, 0, 3),
     BlobParams(3, 5, 2), BlobParams(4, 7, 3), BlobParams(3, 9, 4)])
 def test_ariki_koike_relations(params):
-    checks = verify_ariki_koike(params.n, context(params))
+    n, ctx = params.n, context(params)
+    checks = verify_ariki_koike(n, ctx, module_blocks(n, ctx))
     assert checks and all(c.ok for c in checks), \
         [c for c in checks if not c.ok]
 
@@ -112,13 +114,19 @@ def test_ariki_koike_relations(params):
     BlobParams(2, 0, 2), BlobParams(4, 0, 2),
     BlobParams(5, 5, 3), BlobParams(4, 7, 2)])
 def test_blob_identity(params):
-    checks = verify_blob_identity(params.n, context(params))
+    n, ctx = params.n, context(params)
+    checks = verify_blob_identity(n, ctx, module_blocks(n, ctx))
     assert all(c.ok for c in checks)
+
+
+def _rotation_checks(n, ctx):
+    """The partial-rotation checks on the blocks of module_blocks."""
+    return verify_partial_rotation_fixing(n, ctx, module_blocks(n, ctx))
 
 
 def test_partial_rotation_fixing_all_small():
     for n in (2, 3, 4):
-        checks = verify_partial_rotation_fixing(n, C2)
+        checks = _rotation_checks(n, C2)
         assert [c.name for c in checks] == [
             f"rotation_fixes_filtration({j},{p})"
             for j in (1, 2) for p in range(1, n + 1)]
@@ -140,7 +148,7 @@ def test_partial_rotation_exact_fixing_j2():
 
 def test_all_ones_fixed_by_rotation_composite():
     ctx = C2
-    checks = verify_partial_rotation_fixing(5, ctx)
+    checks = _rotation_checks(5, ctx)
     assert all(c.ok for c in checks)
     comp = op_S_ctx(3, 5, ctx)
     for r in range(4, 6):
@@ -214,12 +222,12 @@ def test_perturbed_S_fails_at_the_lazy_chains_word(monkeypatch, n, l):
         monkeypatch.setattr(weightmod, "block_operators",
                             lru_cache(maxsize=None)(weightmod.BlockOperators))
         checks = [(c.name, c.ok, c.first_failure)
-                  for c in verify_partial_rotation_fixing(n, ctx)]
+                  for c in _rotation_checks(n, ctx)]
         assert checks == _lazy_rotation_checks(n, ctx), (r, target)
         failing += not all(ok for _, ok, _ in checks)
     monkeypatch.undo()
     assert failing == len(cases)
-    checks = verify_partial_rotation_fixing(n, ctx)
+    checks = _rotation_checks(n, ctx)
     assert all(c.ok for c in checks)
     assert [(c.name, c.ok, c.first_failure) for c in checks] == \
         _lazy_rotation_checks(n, ctx)
@@ -253,7 +261,7 @@ def test_j2_residual_off_position_p_fails(monkeypatch, n, p, l):
     monkeypatch.setattr(weightmod, "weight_module",
                         lru_cache(maxsize=None)(weightmod.WeightModule))
     checks = [(c.name, c.ok, c.first_failure)
-              for c in verify_partial_rotation_fixing(n, ctx)]
+              for c in _rotation_checks(n, ctx)]
     assert (f"rotation_fixes_filtration(2,{p})", False, v) in checks
     assert checks == _lazy_rotation_checks(n, ctx)
     rotate = _lazy_rotation(p, n, ctx)

@@ -19,7 +19,7 @@ from blobtensor.weightmod import (WeightLabel, _adjointness_injective,
                                   _decorated_combination, _e_matrix,
                                   adjointness_record, decorated_vect,
                                   lambda_range, localized_dim,
-                                  quotient_scalar_record,
+                                  module_blocks, quotient_scalar_record,
                                   special_element_scalar, straighten_word,
                                   underline_map, weight_basis, weight_module)
 
@@ -204,23 +204,20 @@ def _fresh_tables(monkeypatch):
     return tables
 
 
-def test_only_the_relation_suites_keep_the_extra_matrices(monkeypatch,
-                                                          tmp_path):
-    # T^-1, S and theta stay off the tables of the adjointness and restrict
-    # points: keeping T^-1 there raised the peak memory of restrict
-    extra = {"T_inv", "S", "theta"}
+def test_block_tables_keep_only_T_U_and_P(monkeypatch, tmp_path):
+    # T^-1, S and theta stay off the tables on every command: keeping T^-1
+    # there raised the peak memory of restrict, and module_blocks builds
+    # its own for each verify-relations point
     out = str(tmp_path / "report.json")
     for argv in (["adjointness", "--n", "6", "--lambda", "0"],
-                 ["restrict", "--n", "6", "--lambda", "all"]):
+                 ["restrict", "--n", "6", "--lambda", "all"],
+                 ["verify-relations", "--n", "4"]):
         tables = _fresh_tables(monkeypatch)
         assert main([*argv, "--l", "5", "--m", "2", "--out", out]) == 0
-        assert tables and all(extra.isdisjoint(vars(t)) for t in tables), \
-            argv
-    tables = _fresh_tables(monkeypatch)
-    assert main(["verify-relations", "--n", "4", "--l", "5", "--m", "2",
-                 "--out", out]) == 0
+        assert tables, argv
+        assert all(vars(t).keys() == {"n", "ctx", "basis", "index", "T",
+                                      "U", "P"} for t in tables), argv
     assert len(tables) == len(lambda_range(4))
-    assert all(extra <= vars(t).keys() for t in tables)
 
 
 def test_swapped_context_shares_the_table():
@@ -251,9 +248,11 @@ def test_each_field_gets_its_own_table():
         ops = weightmod.block_operators(n, lam, ctx.field, ctx.q)
         rules = _ref_rules(ctx)
         basis = weight_basis(n, lam)
+        # T^-1 is built per point by module_blocks, on the table's context
+        mats = dict(zip(lambda_range(n), module_blocks(n, ctx)))[lam][1]
         for i in range(2, n + 1):
             assert ops.T[i] == _ref_matrix(basis, rules["T"](i))
-            assert ops.T_inv[i] == _ref_matrix(basis, rules["T_inv"](i))
+            assert mats[f"T{i}^-1"] == _ref_matrix(basis, rules["T_inv"](i))
         x = _ref_matrix(basis, _ref_x(n, rules, ctx.one))
         assert weight_module(n, lam, ctx).x == x
         tables.append(ops)
