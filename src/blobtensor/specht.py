@@ -106,10 +106,6 @@ class Bitableau:
         t2 = tuple(sorted(repl.get(e, e) for e in self.t2))
         return Bitableau(self.shape, t1, t2)
 
-    def to_json(self):
-        return {"t1": list(self.t1), "t2": list(self.t2),
-                "shape": self.shape.kind}
-
 
 def standard_bitableaux(shape):
     """All standard bitableaux of the shape, ordered by their first

@@ -217,8 +217,8 @@ def verify_ariki_koike(n, ctx, blocks):
     rels.sort(key=lambda rel: rank.setdefault(
         rel.name[:rel.name.index("(") + 2], len(rank)))
     rels.append(Relation(
-        "rotation_formula_vs_composite", word("theta*varpi"),
-        word(*(f"S{j}" for j in range(n, 1, -1)), "varpi")))
+        "rotation_formula_vs_composite", word("theta"),
+        word(*(f"S{j}" for j in range(n, 1, -1)))))
     rels += [Relation(f"two_sided_inverse(T{i})", word(f"T{i}^-1", f"T{i}"),
                       word()) for i in range(2, n + 1)]
     return evaluate(rels, blocks, ctx.one)

@@ -28,9 +28,9 @@ from functools import lru_cache
 from math import comb
 
 from .blob import MatrixRep
-from .linalg import (SpanSolver, certified_rank, invariant_closure,
-                     mat_identity, mat_mul, mat_scale, mat_sub_scalar_diag,
-                     mat_vec, span_rank, vec_add_scaled, vec_scale, vec_sub)
+from .linalg import (SpanSolver, certified_rank, invariant_closure, mat_mul,
+                     mat_scale, mat_sub_scalar_diag, mat_vec, span_rank,
+                     vec_add_scaled, vec_scale, vec_sub)
 from .scalars import FieldContext, context, residues_equal
 from .tensor import (op_S_ctx, op_T_ctx, op_T_inv_ctx, op_theta_ctx,
                      weight_words)
@@ -87,9 +87,10 @@ class BlockOperators:
     """The operators of the block M_n(lam) that depend on q alone, on its
     weight basis: T_i (i = 2..n) from its two-letter table,
     U_i = T_{i+1} - q (i = 1..n-1), and P = T_2^-1 ... T_n^-1 theta, so that
-    X = P varpi.  T_i^-1 and theta are built for P and dropped; the tables
-    and rules run in a context without lambda1 and lambda2, so none of these
-    can read them."""
+    X = P varpi.  For P, T_i^-1 = T_i - (q - q^-1) is taken by the quadratic
+    relation and theta from its rule, and both are dropped; the tables and
+    rules run in a context without lambda1 and lambda2, so none of these can
+    read them."""
 
     def __init__(self, n, lam, field, q):
         self.n = n
@@ -98,10 +99,10 @@ class BlockOperators:
         self.index = {w: i for i, w in enumerate(self.basis)}
         self.T = self._matrices(op_T_ctx)
         self.U = [mat_sub_scalar_diag(t, q) for t in self.T.values()]
-        t_inv = self._matrices(op_T_inv_ctx)
+        d = self.ctx.q_minus_qinv
         p = op_theta_ctx(n, self.ctx).matrix(self.basis)
         for i in range(n, 1, -1):
-            p = mat_mul(t_inv[i], p)
+            p = mat_mul(mat_sub_scalar_diag(self.T[i], d), p)
         self.P = p
 
     def _matrices(self, op):
@@ -172,9 +173,11 @@ def module_blocks(n, ctx):
     block builder of the relation suites, called once per verify-relations
     point: one per cached M_n(lam), lam in Lambda_n, whose bases partition
     the words because every operator keeps the weight.  The matrices are
-    named X, T2 .. Tn, U0 .. U{n-1}, T2^-1 .. Tn^-1, S2 .. Sn, varpi and
-    theta*varpi; X and U0 are the module's, T_i and U_i (i >= 1) the block
-    operator table's, and the rest are built here for this point only."""
+    named X, T2 .. Tn, U0 .. U{n-1}, T2^-1 .. Tn^-1, S2 .. Sn and theta;
+    X and U0 are the module's, T_i and U_i (i >= 1) the block operator
+    table's, and the rest are built here for this point only, T_i^-1 from
+    its own table, so that two_sided_inverse checks that table against
+    T_i."""
     for lam in lambda_range(n):
         module = weight_module(n, lam, ctx)
         ops = block_operators(n, lam, ctx.field, ctx.q)
@@ -185,10 +188,7 @@ def module_blocks(n, ctx):
             mats[f"T{i}"], mats[f"T{i}^-1"], mats[f"S{i}"] = \
                 ops.T[i], t_inv[i], s[i]
         mats["X"] = module.x
-        mats["varpi"] = _times_varpi(mat_identity(module.dim, ctx.one),
-                                     basis, ctx)
-        theta = op_theta_ctx(n, ops.ctx).matrix(basis)
-        mats["theta*varpi"] = _times_varpi(theta, basis, ctx)
+        mats["theta"] = op_theta_ctx(n, ops.ctx).matrix(basis)
         yield basis, mats
 
 

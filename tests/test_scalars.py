@@ -13,12 +13,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import blobtensor.scalars as scalars_module
-from blobtensor.scalars import (GENERIC, BlobParams, GenericScalar,
-                                ParameterError, _pcontent, _pgcd, _pmul,
-                                check_params, context,
+from blobtensor.scalars import (GENERIC, BlobParams, CycScalar,
+                                GenericScalar, ParameterError, _pcontent,
+                                _pgcd, _pmul, check_params, context,
                                 cyclotomic_field, cyclotomic_polynomial,
-                                effective_max_n, residues_equal, specialize,
-                                validate_params)
+                                effective_max_n, memos, residues_equal,
+                                specialize, validate_params)
 
 P_GEN = BlobParams(3, 0, 2)
 P5 = BlobParams(3, 5, 2)
@@ -480,6 +480,40 @@ def test_cross_backend_equality_is_type_error():
         F5.q == F7.q
     with pytest.raises(TypeError):
         GENERIC.q + F5.q
+
+
+PROTOCOL = ("__eq__", "_coerce", "__add__", "__radd__", "__mul__",
+            "__rmul__", "__neg__", "inv", "is_zero", "__bool__")
+
+
+@pytest.mark.parametrize("name", PROTOCOL)
+def test_both_backends_bind_one_operator(name):
+    # the interning and memo protocol is stated once: each scalar class
+    # binds the same function under its own name
+    assert vars(GenericScalar)[name] is vars(CycScalar)[name]
+
+
+@pytest.mark.parametrize("l", [0, 5, 7])
+def test_memos_read_the_home_field(l):
+    field = GENERIC if l == 0 else cyclotomic_field(l)
+    for x in (field.zero, field.one, field.q, field.q + field.from_int(3)):
+        assert x.home is field
+        products, sums, zero = memos(x)
+        assert products is field._products and sums is field._sums
+        assert zero is field.zero
+
+
+@pytest.mark.parametrize("x", [3, Fraction(1, 2)])
+def test_memos_of_a_non_scalar_is_type_error(x):
+    with pytest.raises(TypeError):
+        memos(x)
+
+
+def test_serialize_refuses_another_fields_scalar():
+    F5, F7 = cyclotomic_field(5), cyclotomic_field(7)
+    for field, x in ((GENERIC, F5.q), (F5, GENERIC.q), (F5, F7.q)):
+        with pytest.raises(TypeError):
+            field.serialize(x)
 
 
 def test_canonical_idempotence():

@@ -41,13 +41,11 @@ def test_standard_bitableaux_counts():
     assert len(standard_bitableaux(col_shape(2, 2))) == comb(4, 2)
 
 
-def test_bitableau_validation_and_json():
+def test_bitableau_validation():
     with pytest.raises(ValueError):
         Bitableau(row_shape(1, 1), (1,), (1,))
     with pytest.raises(ValueError):
         Bitableau(row_shape(2, 1), (1,), (2,))
-    t = Bitableau(col_shape(2, 1), (2,), (1, 3))
-    assert t.to_json() == {"t1": [2], "t2": [1, 3], "shape": "col"}
 
 
 def test_gi_action_cases():

@@ -253,8 +253,9 @@ def test_j2_residual_off_position_p_fails(monkeypatch, n, p, l):
                      if w == v else op.apply_word(w), name=op.name)
 
     monkeypatch.setattr(tensor_module, "op_T_inv_ctx", op_T_inv)
-    # the block operator tables build T^-1 from weightmod's binding, and X
-    # from T^-1: keep the perturbed tables and modules out of the caches
+    # module_blocks builds T^-1 from weightmod's binding on every call, and
+    # the tables form X from T by the quadratic relation, so the perturbed
+    # table reaches R_p but not X; the caches stay fresh all the same
     monkeypatch.setattr(weightmod, "op_T_inv_ctx", op_T_inv)
     monkeypatch.setattr(weightmod, "block_operators",
                         lru_cache(maxsize=None)(weightmod.BlockOperators))

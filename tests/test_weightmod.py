@@ -7,7 +7,7 @@ from math import comb
 import pytest
 
 from blobtensor import specht, towers, weightmod
-from blobtensor.blob import dualize
+from blobtensor.blob import dualize, verify_relation_suite
 from blobtensor.cli import main
 from blobtensor.linalg import (SpanSolver, mat_is_zero, mat_mul,
                                mat_transpose, vec_scale, vec_sub)
@@ -133,10 +133,10 @@ def _ref_matrix(basis, rule):
     return [{index[u]: c for u, c in rule(w).items()} for w in basis]
 
 
-def _ref_theta_varpi(n, rules, one):
-    """theta varpi = S_n ... S_2 varpi on one word, rule by rule."""
+def _ref_theta(n, rules, one):
+    """theta = S_n ... S_2 on one word, rule by rule."""
     def rule(w):
-        vec = _ref_apply(rules["varpi"], {w: one})
+        vec = {w: one}
         for i in range(2, n + 1):
             vec = _ref_apply(rules["S"](i), vec)
         return vec
@@ -145,10 +145,10 @@ def _ref_theta_varpi(n, rules, one):
 
 def _ref_x(n, rules, one):
     """X = T_2^-1 ... T_n^-1 S_n ... S_2 varpi on one word, rule by rule."""
-    theta_varpi = _ref_theta_varpi(n, rules, one)
+    theta = _ref_theta(n, rules, one)
 
     def rule(w):
-        vec = theta_varpi(w)
+        vec = _ref_apply(theta, rules["varpi"](w))
         for i in range(n, 1, -1):
             vec = _ref_apply(rules["T_inv"](i), vec)
         return vec
@@ -158,8 +158,8 @@ def _ref_x(n, rules, one):
 def _ref_block(n, basis, ctx, rules):
     """Every matrix that module_blocks names, from the word rules."""
     x = _ref_x(n, rules, ctx.one)
-    named = {"X": x, "U0": _ref_minus(x, ctx.lam1), "varpi": rules["varpi"],
-             "theta*varpi": _ref_theta_varpi(n, rules, ctx.one)}
+    named = {"X": x, "U0": _ref_minus(x, ctx.lam1),
+             "theta": _ref_theta(n, rules, ctx.one)}
     for i in range(2, n + 1):
         named[f"T{i}"] = rules["T"](i)
         named[f"T{i}^-1"] = rules["T_inv"](i)
@@ -257,6 +257,31 @@ def test_each_field_gets_its_own_table():
         assert weight_module(n, lam, ctx).x == x
         tables.append(ops)
     assert len({id(t) for t in tables}) == len(tables)
+
+
+@pytest.mark.parametrize("l", [0, 5])
+def test_perturbed_T_inv_table_fails_only_its_own_checks(monkeypatch, l):
+    # negative control: the tables form X from T by the quadratic relation,
+    # so one wrong image in the T^-1 table reaches two_sided_inverse (and
+    # the partial rotations R_p, built from T^-1) but no other check
+    n, target = 5, "11211"
+    ctx = context(BlobParams(n, l, 2))
+    real = weightmod.op_T_inv_ctx
+
+    def op_T_inv(i, n_, ctx_):
+        op = real(i, n_, ctx_)
+        if i != 3:
+            return op
+        return LinOp(n_, ctx_, lambda w: {**op.apply_word(w), w: ctx_.one}
+                     if w == target else op.apply_word(w), name=op.name)
+
+    _fresh_tables(monkeypatch)
+    monkeypatch.setattr(weightmod, "op_T_inv_ctx", op_T_inv)
+    checks = verify_relation_suite(n, ctx, module_blocks(n, ctx))
+    failed = {c.name: c.first_failure for c in checks if not c.ok}
+    assert failed["two_sided_inverse(T3)"] == target
+    reads_t_inv = ("two_sided_inverse(T3)", "rotation_fixes_filtration(")
+    assert all(name.startswith(reads_t_inv) for name in failed), failed
 
 
 def test_idempotent():
