@@ -15,6 +15,8 @@ Running the same configuration twice produces byte-identical output.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import itertools
 import json
 import os
 import sys
@@ -160,16 +162,24 @@ def _check_out(path):
     raise ParameterError("bad_out", f"--out {path}: {problem}")
 
 
+# encoder chunks per write: a few tokens each, so a batch is tens of KB
+_EMIT_BATCH = 4096
+
+
 def _emit(args, report):
     """Write a JSON report, or a command's preformatted text, to --out or
-    stdout."""
-    text = report if isinstance(report, str) else \
-        json.dumps(report, sort_keys=True, indent=2) + "\n"
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
+    stdout.  A JSON report goes out in batches of the encoder's chunks, the
+    bytes of `json.dumps(report, sort_keys=True, indent=2)` and a newline,
+    so its whole text is never held at once."""
+    if isinstance(report, str):
+        chunks = iter((report,))
     else:
-        sys.stdout.write(text)
+        encoder = json.JSONEncoder(sort_keys=True, indent=2)
+        chunks = itertools.chain(encoder.iterencode(report), ("\n",))
+    with (open(args.out, "w") if args.out
+          else contextlib.nullcontext(sys.stdout)) as fh:
+        while batch := list(itertools.islice(chunks, _EMIT_BATCH)):
+            fh.write("".join(batch))
 
 
 def _skip(skipped, point, reason, message=None):

@@ -324,7 +324,7 @@ class ModSpan:
             else:
                 for j, y in row.items():
                     red[j] = red.get(j, 0) - x * y
-        red = {j: x % p for j, x in red.items() if x % p}
+        red = _nonzero_mod(red, p)
         if not red:
             return False
         piv = min(red, key=lambda j: (len(cols.get(j, ())), j))
@@ -349,12 +349,23 @@ class ModSpan:
         return True
 
 
+def _nonzero_mod(acc, p):
+    """The nonzero residues mod p of a vector of raw integer sums: one
+    reduction per entry, after the accumulation."""
+    out = {}
+    for j, x in acc.items():
+        x %= p
+        if x:
+            out[j] = x
+    return out
+
+
 def _mat_vec_mod(cols, v, p):
     out = {}
     for i, c in v.items():
         for j, x in cols[i].items():
-            out[j] = (out.get(j, 0) + c * x) % p
-    return {j: x for j, x in out.items() if x}
+            out[j] = out.get(j, 0) + c * x
+    return _nonzero_mod(out, p)
 
 
 def _dot(y, v):
@@ -384,7 +395,8 @@ def left_kernel(vectors, dim, one):
     return nullspace(mat_transpose(vectors, dim), one)
 
 
-def certified_rank(seed_vectors, matrices, dim, modular, one, ys=None):
+def certified_rank(seed_vectors, matrices, dim, modular, one, ys=None,
+                   residues=None):
     """Exact rank of invariant_closure(seed_vectors, matrices) in a
     dim-dimensional space, read mod p through `modular`, with the left
     kernel Y that certifies it: (rank, Y), or None.  With no matrices the
@@ -397,11 +409,19 @@ def certified_rank(seed_vectors, matrices, dim, modular, one, ys=None):
     subspace of dimension dim - |Y| holding the seeds, so it holds the
     closure, and r = dim - |Y| proves the rank; the closure mod p stops
     there.  Y defaults to the exact left kernel of the vectors accepted mod
-    p, rebuilt from their origins."""
+    p, rebuilt from their origins.
+
+    `residues`, when given, returns the matrices already reduced by
+    `modular` (a caller's stored residues); it is called here, so that a
+    vanishing denominator still returns None.  `matrices` may then be a
+    function that builds the exact matrices, called only when the
+    certificate reads them, that is, below full rank."""
     p = modular.p
     try:
-        span = _closure(ModSpan(p), [modular.vec(v) for v in seed_vectors],
-                        [modular.mat(m) for m in matrices],
+        seeds = [modular.vec(v) for v in seed_vectors]
+        reduced = [modular.mat(m) for m in matrices] if residues is None \
+            else residues()
+        span = _closure(ModSpan(p), seeds, reduced,
                         lambda m, v: _mat_vec_mod(m, v, p),
                         dim if ys is None else dim - len(ys))
     except ZeroDivisionError:
@@ -409,6 +429,8 @@ def certified_rank(seed_vectors, matrices, dim, modular, one, ys=None):
     r = span.rank
     if r == dim:
         return r, []
+    if callable(matrices):
+        matrices = matrices()
     if ys is None:
         accepted = []
         for i, a in span.tags:

@@ -172,6 +172,41 @@ def _peval_mod(cs, t, p):
     return acc
 
 
+# The strong probable-prime test to the bases 2, 3, ..., 17 decides
+# primality below 341,550,071,728,321, the least strong pseudoprime to all
+# seven (G. Jaeschke, Math. Comp. 61 (1993)).
+_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17)
+_PRIME_BOUND = 341_550_071_728_321
+
+
+def _is_prime(n):
+    """Whether n is prime, by the deterministic Miller-Rabin test; n must
+    lie below `_PRIME_BOUND`."""
+    if n >= _PRIME_BOUND:
+        raise ValueError(f"{n} is beyond the deterministic Miller-Rabin "
+                         f"bound {_PRIME_BOUND}")
+    if n < 2:
+        return False
+    for b in _PRIME_BASES:
+        if n % b == 0:
+            return n == b
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for b in _PRIME_BASES:
+        x = pow(b, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
 class ModularMap:
     """A ring map from the field's p-integral elements onto F_p, sending q
     to the residue `q`; `image(x)` is an int in [0, p).  Being a ring map,
@@ -524,9 +559,13 @@ class GenericField(_Field):
         self.zero = GenericScalar(self, 0, (), (1,))
         self.one = GenericScalar(self, 0, (1,), (1,))
         self.q = GenericScalar(self, 1, (1,), (1,))
-        # 7 is a primitive root mod 2^31 - 1, so no q^k - 1 with
-        # 0 < k < p - 1 vanishes
-        self.modular = ModularMap(2 ** 31 - 1, 7)
+        # 7 is a primitive root mod p = 2^31 - 1, and so is 7^k for every k
+        # prime to p - 1, so no q^k - 1 with 0 < k < p - 1 vanishes.  The
+        # image of q is such a power far from 0, because a small one is a
+        # root of small polynomials (7 of q - 7, which a family of small
+        # integer Laurent polynomials meets), and there ranks drop mod p
+        p = 2 ** 31 - 1
+        self.modular = ModularMap(p, pow(7, 123456791, p))
 
     def from_int(self, k):
         if k == 0:
@@ -755,8 +794,7 @@ class CyclotomicField(_Field):
         """The map into F_p for the least prime p > 2^31 with p = 1 (mod l),
         so that F_p holds the l-th roots of unity."""
         p = 2 ** 31 + 1
-        while p % self.l != 1 or not all(p % d for d in
-                                         range(3, math.isqrt(p) + 1, 2)):
+        while p % self.l != 1 or not _is_prime(p):
             p += 2
         return self.modular_map(p)
 

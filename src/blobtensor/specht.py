@@ -32,7 +32,7 @@ from .linalg import (certified_rank, invariant_closure, mat_sub_scalar_diag,
 from .scalars import context, residues_equal
 from .tensor import Relation, RelationCheck, evaluate, ops_Xk_ctx, word
 from .weightmod import (WeightLabel, _adjointness_injective,
-                        _adjointness_surjective, _e_matrix,
+                        _adjointness_surjective, _e_matrix, module_residues,
                         special_element_scalar, weight_module)
 
 
@@ -289,16 +289,25 @@ def dual_adjointness_check(n, lam, params):
     ctx = context(params)
     label = WeightLabel(n, lam)
     module = weight_module(n, lam, ctx)
+    dim, modular = module.dim, ctx.field.modular
     # the generators of the dual are the transposed U_i: the antiinvolution
-    # fixes X and g_i, and (g - c)^T = g^T - c
-    dual_u = [mat_transpose(u, module.dim) for u in module.U]
-    e_dual = _e_matrix(dual_u, ctx)
-    seeds = [c for c in e_dual if c]
-    found = certified_rank(seeds, dual_u, module.dim, ctx.field.modular,
-                           ctx.one)
+    # fixes X and g_i, and (g - c)^T = g^T - c.  The closure mod p reads
+    # the transposed residues of the module's U_i; the exact transposes are
+    # built for the seeds (U_{n-1}^T) and, below full rank, for the
+    # certificate or the exact elimination
+    last = mat_transpose(module.U[-1], dim)
+    seeds = [c for c in _e_matrix([last], ctx) if c]
+
+    def dual_u():
+        return [mat_transpose(u, dim) for u in module.U[:-1]] + [last]
+
+    found = certified_rank(
+        seeds, dual_u, dim, modular, ctx.one,
+        residues=lambda: [mat_transpose(r, dim)
+                          for r in module_residues(module, modular)])
     closure_rank = found[0] if found is not None \
-        else invariant_closure(seeds, dual_u).rank
-    direct_surjective = closure_rank == module.dim
+        else invariant_closure(seeds, dual_u()).rank
+    direct_surjective = closure_rank == dim
 
     sctx = ctx.swapped()
     swap_surj = _adjointness_surjective(n, -lam, sctx)
@@ -315,7 +324,7 @@ def dual_adjointness_check(n, lam, params):
     n1 = label.n1
     return {
         "n": n, "l": l, "m": m, "lambda": lam,
-        "n1": n1, "n2": label.n2, "dim": module.dim,
+        "n1": n1, "n2": label.n2, "dim": dim,
         "dual_closure_rank": closure_rank,
         "dual_surjective": direct_surjective,
         "swap_surjective": swap_surj.surjective,

@@ -48,8 +48,18 @@ def all_words(n):
 
 
 def weight_words(n, ones):
-    """Words with the given number of 1s, lexicographic order."""
-    return [w for w in all_words(n) if w.count("1") == ones]
+    """Words with the given number of 1s, lexicographic order: one word per
+    set of 1-positions, the sets in lexicographic order (a 1 earlier in the
+    word is a smaller position earlier in the set)."""
+    if ones < 0:
+        return []
+    out = []
+    for positions in itertools.combinations(range(n), ones):
+        w = ["2"] * n
+        for i in positions:
+            w[i] = "1"
+        out.append("".join(w))
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -168,6 +168,18 @@ def weight_module(n, lam, ctx):
     return WeightModule(n, lam, ctx)
 
 
+# A counit grid point reads the residues of its own module twice, in the
+# primal and then the dual closure, and then those of the lambda-swapped
+# module once, so two entries reduce every module's generators once per walk.
+# Kept on every cached module instead, they raised the peak memory (VmHWM)
+# of `adjointness --n 11 --l 0 --m 2` from 33.6 to 37.8 MB.
+@lru_cache(maxsize=2)
+def module_residues(module, modular):
+    """U_0 .. U_{n-1} of a weight module reduced by the ring map `modular`
+    (a vanishing denominator raises ZeroDivisionError and keeps nothing)."""
+    return [modular.mat(u) for u in module.U]
+
+
 def module_blocks(n, ctx):
     """(basis, matrices) blocks of V^(x)n for `relations.evaluate`, the one
     block builder of the relation suites, called once per verify-relations
@@ -375,8 +387,9 @@ def _modular_surjective(module, family, seeds):
     the closure: Y^perp is then both the family span and the closure."""
     modular, one = module.ctx.field.modular, module.ctx.one
     found = certified_rank(family, [], module.dim, modular, one)
-    if found is None or certified_rank(seeds, module.U, module.dim, modular,
-                                       one, found[1]) != found:
+    if found is None or certified_rank(
+            seeds, module.U, module.dim, modular, one, found[1],
+            residues=lambda: module_residues(module, modular)) != found:
         return None
     return found[0], found[0], True
 
@@ -412,9 +425,8 @@ def _adjointness_surjective(n, lam, ctx):
 
 def _canonical_family(n, label, ctx):
     """The straightened Temperley-Lieb elements (no '12' left of the
-    underline) together with the decorated element; returns
-    (tl_vectors, decorated_vector)."""
-    n1, n2 = label.n1, label.n2
+    underline), as word-keyed vectors."""
+    n1 = label.n1
     tl = []
     for s in range(n - 1):
         for t in range(n - 1 - s):
@@ -424,7 +436,24 @@ def _canonical_family(n, label, ctx):
             if 0 <= ones <= rest:
                 for w2 in weight_words(rest, ones):
                     tl.append(underline_vect(w1, w2, ctx))
-    return tl, decorated_vect("2" * (n2 - 1) + "1" * (n1 - 1), label, ctx)
+    return tl
+
+
+# keyed like the block operator tables: the family depends on q alone, so
+# the point (n, lam) and the lambda-swapped route of the point (n, -lam)
+# share one elimination
+@lru_cache(maxsize=32)
+def tl_span(n, lam, field, q):
+    """The exact span of the straightened Temperley-Lieb elements of
+    M_n(lam) in the coordinates of its weight basis, with the size of the
+    family: (SpanSolver, size).  Shared, so it is read with `contains` and
+    never inserted into."""
+    ops = block_operators(n, lam, field, q)
+    tl = _canonical_family(n, WeightLabel(n, lam), ops.ctx)
+    span = SpanSolver()
+    for v in tl:
+        span.insert({ops.index[w]: c for w, c in v.items()})
+    return span, len(tl)
 
 
 def _decorated_combination(v1, v2, label, ctx):
@@ -466,20 +495,18 @@ def _adjointness_injective(n, lam, ctx):
     if abs(lam) == n:
         raise ValueError("lambda = +-n is outside the adjointness setting")
     module = weight_module(n, lam, ctx)
-    tl, dec = _canonical_family(n, label, ctx)
-    span = SpanSolver()
-    for v in tl:
-        span.insert(module.coords(v))
-    tl_rank = span.rank
+    span, size = tl_span(n, lam, ctx.field, ctx.q)
+    dec = module.coords(decorated_vect(
+        "2" * (label.n2 - 1) + "1" * (label.n1 - 1), label, ctx))
     # modulo the TL span the decorated element is the special scalar times
     # the class of 2^n2 1^n1
     unit = module.coords({"2" * label.n2 + "1" * label.n1: ctx.one})
-    shifted = vec_sub(module.coords(dec),
+    shifted = vec_sub(dec,
                       vec_scale(unit, special_element_scalar(n, lam, ctx)))
     decorated_ok = span.contains(shifted)
-    span.insert(module.coords(dec))
-    return InjectivityResult(n, lam, module.dim, len(tl) + 1, span.rank,
-                             decorated_ok and tl_rank == len(tl))
+    rank = span.rank + (not span.contains(dec))
+    return InjectivityResult(n, lam, module.dim, size + 1, rank,
+                             decorated_ok and span.rank == size)
 
 
 def adjointness_record(n, lam, params):

@@ -7,6 +7,7 @@ import subprocess
 import sys
 import tempfile
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -479,6 +480,26 @@ def test_stdout_default(capsys):
     rc = main(["triangle", "--n", "2"])
     assert rc == 0
     assert capsys.readouterr().out == "1,0\n1,1,0\n"
+
+
+def test_emitted_report_bytes_are_one_json_dumps(tmp_path, capsys):
+    # a report of many encoder batches, written to --out and to stdout
+    import blobtensor.cli as cli
+
+    report = {"results": [{"n": i, "ok": i % 3 == 0, "name": f"p{i}",
+                           "ranks": [i, None, 1.5]} for i in range(2000)],
+              "b": "\u00e9"}
+    expect = json.dumps(report, sort_keys=True, indent=2) + "\n"
+    chunks = json.JSONEncoder(sort_keys=True, indent=2).iterencode(report)
+    assert sum(1 for _ in chunks) > 3 * cli._EMIT_BATCH
+    out = tmp_path / "report.json"
+    out.write_text("old contents, longer than nothing")
+    cli._emit(SimpleNamespace(out=str(out)), report)
+    assert out.read_text() == expect
+    cli._emit(SimpleNamespace(out=None), report)
+    assert capsys.readouterr().out == expect
+    cli._emit(SimpleNamespace(out=None), "1,0\n")
+    assert capsys.readouterr().out == "1,0\n"
 
 
 def test_duality_n1_runs_existing_relations_only(tmp_path):

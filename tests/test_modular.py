@@ -4,6 +4,9 @@ and the exact fallback on the benchmark grid."""
 
 import hashlib
 import json
+import math
+import random
+from functools import lru_cache
 from pathlib import Path
 
 import pytest
@@ -11,13 +14,13 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from blobtensor import specht, weightmod
+from blobtensor import specht, towers, weightmod
 from blobtensor.cli import main
 from blobtensor.linalg import (ModSpan, _closure, _mat_vec_mod,
                                certified_rank, invariant_closure,
                                left_kernel, span_rank)
-from blobtensor.scalars import (GENERIC, BlobParams, ModularMap, context,
-                                cyclotomic_field)
+from blobtensor.scalars import (GENERIC, BlobParams, ModularMap, _is_prime,
+                                context, cyclotomic_field)
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 FIELDS = [cyclotomic_field(5), cyclotomic_field(7), GENERIC]
@@ -63,12 +66,63 @@ def test_cyclotomic_prime_and_root(l):
     assert phi.eval(modular.q) % p == 0
 
 
+def _trial_division(n):
+    if n < 3 or n % 2 == 0:
+        return n == 2
+    return all(n % d for d in range(3, math.isqrt(n) + 1, 2))
+
+
+def test_miller_rabin_agrees_with_trial_division():
+    assert [n for n in range(10_000) if _is_prime(n)] == \
+        [n for n in range(10_000) if _trial_division(n)]
+    rng = random.Random(0)
+    for _ in range(3000):
+        n = rng.randrange(2 ** 31 + 1, 2 ** 32, 2)
+        assert _is_prime(n) == _trial_division(n), n
+
+
+def test_miller_rabin_picks_the_same_prime_for_every_odd_l():
+    # CyclotomicField.modular takes the first candidate p > 2^31,
+    # p = 1 (mod l), that passes _is_prime: the test must agree with trial
+    # division on every candidate up to the least prime one
+    for l in range(3, 102, 2):
+        p = 2 ** 31 + 1
+        while True:
+            if p % l == 1:
+                prime = _trial_division(p)
+                assert _is_prime(p) == prime, (l, p)
+                if prime:
+                    break
+            p += 2
+
+
+def test_miller_rabin_rejects_pseudoprimes_and_its_bound():
+    # 3,215,031,751 = 151 * 751 * 28351 is a strong pseudoprime to the
+    # bases 2, 3, 5 and 7; 341,550,071,728,321 to every base up to 17
+    assert not _trial_division(3_215_031_751)
+    assert not _is_prime(3_215_031_751)
+    with pytest.raises(ValueError):
+        _is_prime(341_550_071_728_321)
+
+
 def test_generic_map_sends_q_to_a_primitive_root():
     modular = GENERIC.modular
     p, t = modular.p, modular.q
     assert sympy.isprime(p)
     assert all(pow(t, (p - 1) // r, p) != 1
                for r in sympy.factorint(p - 1))
+
+
+def test_small_integer_family_keeps_its_rank_mod_p():
+    # the minor q^-2 (q - 7)/3 of this family vanishes when q goes to 7:
+    # a small image of q is a root of small polynomials
+    family = [{0: _scalar(GENERIC, [-2, -1], 3), 1: _scalar(GENERIC, [1], 1)},
+              {0: _scalar(GENERIC, [3], 1), 1: _scalar(GENERIC, [-1], 1)}]
+    assert span_rank(family) == 2
+    assert certified_rank(family, [], 2, GENERIC.modular, GENERIC.one) == \
+        (2, [])
+    seven = ModularMap(GENERIC.modular.p, 7)
+    assert certified_rank(family, [], 2, seven, GENERIC.one) is None
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
@@ -398,6 +452,37 @@ def test_benchmark_grid_needs_no_fallback(tmp_path, monkeypatch):
     monkeypatch.setattr(weightmod, "invariant_closure", refuse)
     monkeypatch.setattr(specht, "invariant_closure", refuse)
     _adjoint_cyc_reports(tmp_path)
+
+
+def test_generators_are_reduced_once_per_module(tmp_path, monkeypatch):
+    # the primal and the dual closure of a point read the residues of its
+    # weight module (the dual transposes them), and the swapped route those
+    # of its own module: no other matrix is reduced, and no module's
+    # generators more than once.  Each m runs on fresh caches, as each
+    # benchmark call runs in a fresh process
+    spec = json.loads((PERFBENCH / "workloads.json").read_text())
+    (command,) = spec["adjoint-cyc"]["commands"]
+    real = ModularMap.mat
+    for m in spec["adjoint-cyc"]["m_pool"]:
+        modules, reduced = [], []
+
+        def build(*key):
+            modules.append(weightmod.WeightModule(*key))
+            return modules[-1]
+
+        def mat(self, cols):
+            reduced.append(cols)
+            return real(self, cols)
+
+        fresh = lru_cache(maxsize=None)(build)
+        for home in (weightmod, specht, towers):
+            monkeypatch.setattr(home, "weight_module", fresh)
+        monkeypatch.setattr(ModularMap, "mat", mat)
+        argv = [a.replace("{m}", str(m)) for a in command]
+        assert main(argv + ["--out", str(tmp_path / "report.json")]) == 0
+        generators = {id(u) for module in modules for u in module.U}
+        assert reduced and all(id(cols) in generators for cols in reduced)
+        assert len(reduced) <= sum(len(module.U) for module in modules)
 
 
 def _counted(calls, real):

@@ -27,6 +27,15 @@ def test_words():
     assert weight_words(3, 2) == ["112", "121", "211"]
 
 
+def test_weight_words_are_the_filtered_words():
+    # the words with a given number of 1s, in the order of all_words
+    for n in range(11):
+        words = all_words(n)
+        for ones in range(-1, n + 2):
+            assert weight_words(n, ones) == \
+                [w for w in words if w.count("1") == ones]
+
+
 def test_op_T_rules():
     T2 = op_T_ctx(2, 2, C2)
     q = C2.q

@@ -442,6 +442,48 @@ def test_adjointness_family_size():
         assert res.family_size == WeightLabel(n, lam).dim
 
 
+def _injectivity_by_one_elimination(n, lam, ctx):
+    """The injectivity test as one fresh elimination: the TL family, then
+    the decorated element inserted into the same span.  Returns the result
+    and the rows of the TL span alone."""
+    label = WeightLabel(n, lam)
+    module = weight_module(n, lam, ctx)
+    span = SpanSolver()
+    tl = weightmod._canonical_family(n, label, ctx)
+    for v in tl:
+        span.insert(module.coords(v))
+    tl_rows = dict(span.rows)
+    dec = module.coords(decorated_vect(
+        "2" * (label.n2 - 1) + "1" * (label.n1 - 1), label, ctx))
+    unit = module.coords({"2" * label.n2 + "1" * label.n1: ctx.one})
+    ok = span.contains(vec_sub(
+        dec, vec_scale(unit, special_element_scalar(n, lam, ctx))))
+    span.insert(dec)
+    return weightmod.InjectivityResult(
+        n, lam, module.dim, len(tl) + 1, span.rank,
+        ok and len(tl_rows) == len(tl)), tl_rows
+
+
+def test_shared_tl_span_gives_the_same_injectivity_records():
+    # the point (n, lam) and the swapped route of the point (n, -lam) read
+    # one TL span; whichever runs first builds it, and no call changes it
+    for l in (0, 5, 7):
+        for m in (2, 3):
+            ctx = context(BlobParams(3, l, m))
+            for n in range(3, 8):
+                for lam in lambda_range(n)[1:-1]:
+                    for order in ((ctx, ctx.swapped()), (ctx.swapped(), ctx)):
+                        weightmod.tl_span.cache_clear()
+                        for c in order:
+                            expect, tl_rows = \
+                                _injectivity_by_one_elimination(n, lam, c)
+                            assert _adjointness_injective(n, lam, c) == \
+                                expect, (l, m, n, lam)
+                            span, _ = weightmod.tl_span(n, lam, c.field, c.q)
+                            assert (span.rank, span.rows) == \
+                                (len(tl_rows), tl_rows), (l, m, n, lam)
+
+
 def test_adjointness_grid_four_way():
     for n in (3, 4, 5):
         for l in (3, 5):
