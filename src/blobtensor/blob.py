@@ -21,7 +21,7 @@ materialized as a based algebra; only the action matters here.
 from __future__ import annotations
 
 from functools import cached_property
-from itertools import accumulate, tee
+from itertools import accumulate
 
 from .linalg import mat_mul, mat_sub_scalar_diag, mat_transpose
 from .relations import (ZERO, Relation, ariki_koike_relations, blob_identity,
@@ -128,13 +128,11 @@ def verify_ideal_generators(n, ctx, blocks):
 
 
 def verify_relation_suite(n, ctx, blocks):
-    """Every relation check of one verify-relations grid point on one
-    stream of weight blocks, in report order: the Ariki-Koike relations,
-    the blob identity, the blob relations, the ideal generators and the
-    partial rotations."""
-    # tee, not list: each block is built once, while the first suite reads it
-    streams = tee(blocks, 5)
+    """Every relation check of one verify-relations grid point on the
+    weight blocks of one stream, each built once and read by every suite, in
+    report order: the Ariki-Koike relations, the blob identity, the blob
+    relations, the ideal generators and the partial rotations."""
+    blocks = list(blocks)
     suites = (verify_ariki_koike, verify_blob_identity, verify_blob_relations,
               verify_ideal_generators, verify_partial_rotation_fixing)
-    return [c for suite, stream in zip(suites, streams)
-            for c in suite(n, ctx, stream)]
+    return [c for suite in suites for c in suite(n, ctx, blocks)]

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import itertools
 import json
 import os
 import sys
@@ -162,24 +161,18 @@ def _check_out(path):
     raise ParameterError("bad_out", f"--out {path}: {problem}")
 
 
-# encoder chunks per write: a few tokens each, so a batch is tens of KB
-_EMIT_BATCH = 4096
-
-
 def _emit(args, report):
     """Write a JSON report, or a command's preformatted text, to --out or
-    stdout.  A JSON report goes out in batches of the encoder's chunks, the
-    bytes of `json.dumps(report, sort_keys=True, indent=2)` and a newline,
-    so its whole text is never held at once."""
-    if isinstance(report, str):
-        chunks = iter((report,))
-    else:
-        encoder = json.JSONEncoder(sort_keys=True, indent=2)
-        chunks = itertools.chain(encoder.iterencode(report), ("\n",))
+    stdout.  A JSON report is the bytes of `json.dumps(report,
+    sort_keys=True, indent=2)` and a newline; `json.dump` writes them as the
+    encoder makes them, so the whole text is never held at once."""
     with (open(args.out, "w") if args.out
           else contextlib.nullcontext(sys.stdout)) as fh:
-        while batch := list(itertools.islice(chunks, _EMIT_BATCH)):
-            fh.write("".join(batch))
+        if isinstance(report, str):
+            fh.write(report)
+        else:
+            json.dump(report, fh, sort_keys=True, indent=2)
+            fh.write("\n")
 
 
 def _skip(skipped, point, reason, message=None):
@@ -259,7 +252,8 @@ def _restrict_point(params, ctx, lam):
         ok = ok and seq.ok
         if n >= 3:
             split = towers.splitting_check(n, lam, ctx)
-            rec["splitting"] = split.to_record(params)
+            rec["splitting"] = dict(split.to_record(), l=params.l,
+                                    m=params.m)
             if not split.wall:
                 ok = ok and split.split is True
     rec["ok"] = ok

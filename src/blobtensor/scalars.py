@@ -244,11 +244,13 @@ class ModularMap:
 # ---------------------------------------------------------------------------
 
 class _Field:
-    """The tables of one field: its interned scalars by canonical form, and
-    the memoized products, sums, negatives and inverses of them."""
+    """The tables of one field: its interned scalars by canonical form, the
+    memoized products, sums, negatives and inverses of them, and its
+    interned contexts by (lambda1, lambda2) (see `FieldContext`)."""
 
     def __init__(self):
         self._values = {}
+        self._contexts = {}
         self._products = {}
         self._sums = {}
         self._negatives = {}
@@ -952,35 +954,34 @@ def residues_equal(a, b, l):
 
 class FieldContext:
     """A field together with the elements q, lambda1, lambda2 that drive every
-    operator in the package.  Contexts built from BlobParams use
-    lambda1 = q^m/(q - q^-1) and lambda2 = q^-m/(q - q^-1); `swapped()` gives
-    the parameter swap (lambda1 <-> lambda2) used for contragredient duals."""
+    operator in the package.  Interned like a scalar: `FieldContext(field,
+    lam1, lam2)` is the one context the field holds for the pair, so equality
+    is identity.  `context(params)` gives lambda1 = q^m/(q - q^-1) and
+    lambda2 = q^-m/(q - q^-1); `swapped()` gives the parameter swap
+    (lambda1 <-> lambda2) used for contragredient duals; the operator tables
+    run in `FieldContext(field, None, None)`."""
 
     __slots__ = ("field", "q", "lam1", "lam2", "qinv", "q_minus_qinv",
                  "one", "zero")
 
-    def __init__(self, field, q, lam1, lam2):
-        self.field = field
-        self.q = q
-        self.lam1 = lam1
-        self.lam2 = lam2
-        self.qinv = q.inv()
-        self.q_minus_qinv = q - self.qinv
-        self.one = field.one
-        self.zero = field.zero
-
-    @staticmethod
-    def from_params(params):
-        validate_params(params)
-        field = GENERIC if params.l == 0 else cyclotomic_field(params.l)
-        q = field.q
-        u = (q - q.inv()).inv()
-        lam1 = field.q_pow(params.m) * u
-        lam2 = field.q_pow(-params.m) * u
-        return FieldContext(field, q, lam1, lam2)
+    def __new__(cls, field, lam1, lam2):
+        contexts = field._contexts
+        key = (lam1, lam2)
+        ctx = contexts.get(key)
+        if ctx is None:
+            ctx = contexts[key] = object.__new__(cls)
+            ctx.field = field
+            ctx.lam1 = lam1
+            ctx.lam2 = lam2
+            ctx.q = field.q
+            ctx.qinv = field.q.inv()
+            ctx.q_minus_qinv = field.q - ctx.qinv
+            ctx.one = field.one
+            ctx.zero = field.zero
+        return ctx
 
     def swapped(self):
-        return FieldContext(self.field, self.q, self.lam2, self.lam1)
+        return FieldContext(self.field, self.lam2, self.lam1)
 
     def q_pow(self, e):
         return self.field.q_pow(e)
@@ -992,22 +993,17 @@ class FieldContext:
         num = self.q ** k - self.q ** (-k)
         return num / self.q_minus_qinv
 
-    def __eq__(self, other):
-        if not isinstance(other, FieldContext):
-            return NotImplemented
-        return (self.field is other.field and self.q == other.q
-                and self.lam1 == other.lam1 and self.lam2 == other.lam2)
-
-    def __hash__(self):
-        return hash((id(self.field), self.q, self.lam1, self.lam2))
-
     def __repr__(self):
         return f"FieldContext({self.field!r})"
 
 
-@lru_cache(maxsize=None)
 def context(params):
-    return FieldContext.from_params(params)
+    """The context of a valid parameter set, in the field of its l."""
+    validate_params(params)
+    field = GENERIC if params.l == 0 else cyclotomic_field(params.l)
+    u = (field.q - field.q.inv()).inv()
+    return FieldContext(field, field.q_pow(params.m) * u,
+                        field.q_pow(-params.m) * u)
 
 
 # dimension caps for exact-arithmetic sweeps; override with BLOBTENSOR_MAX_N

@@ -158,9 +158,9 @@ class SplittingResult:
     invariant: bool | None
     complement: str             # "none" / "not_attempted" / "n/a"
 
-    def to_record(self, params):
-        return {"n": self.n, "lambda": self.lam, "l": params.l,
-                "m": params.m, "wall": self.wall, "split": self.split,
+    def to_record(self):
+        return {"n": self.n, "lambda": self.lam, "wall": self.wall,
+                "split": self.split,
                 "eigdims": list(self.eig_dims) if self.eig_dims else None,
                 "eigdims_expected": list(self.eig_dims_expected),
                 "generator_invariant": self.invariant,

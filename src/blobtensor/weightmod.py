@@ -92,13 +92,13 @@ class BlockOperators:
     rules run in a context without lambda1 and lambda2, so none of these can
     read them."""
 
-    def __init__(self, n, lam, field, q):
+    def __init__(self, n, lam, field):
         self.n = n
-        self.ctx = FieldContext(field, q, None, None)
+        self.ctx = FieldContext(field, None, None)
         self.basis = weight_basis(n, lam)
         self.index = {w: i for i, w in enumerate(self.basis)}
         self.T = self._matrices(op_T_ctx)
-        self.U = [mat_sub_scalar_diag(t, q) for t in self.T.values()]
+        self.U = [mat_sub_scalar_diag(t, field.q) for t in self.T.values()]
         d = self.ctx.q_minus_qinv
         p = op_theta_ctx(n, self.ctx).matrix(self.basis)
         for i in range(n, 1, -1):
@@ -111,11 +111,11 @@ class BlockOperators:
                 for i in range(2, self.n + 1)}
 
 
-# keyed by field and q, not by the context: the contexts of one field and q
-# (a context and its lambda-swapped one) share a block's table
+# keyed by the field, not by the context: every context of one field (a
+# context and its lambda-swapped one among them) shares a block's table
 @lru_cache(maxsize=32)
-def block_operators(n, lam, field, q):
-    return BlockOperators(n, lam, field, q)
+def block_operators(n, lam, field):
+    return BlockOperators(n, lam, field)
 
 
 def _times_varpi(mat, basis, ctx):
@@ -130,12 +130,12 @@ class WeightModule(MatrixRep):
     matrix of T_{i+1}, and U_0 .. U_{n-1} (columns are images, in the
     weight_basis order).  Only X = P varpi and U_0 = X - lam1 are built
     here; g_i and U_1 .. U_{n-1} are those of the block's operator table,
-    shared with every context of the same field and q."""
+    shared with every context of the same field."""
 
     def __init__(self, n, lam, ctx):
         self.lam = lam
         self.label = WeightLabel(n, lam)
-        ops = block_operators(n, lam, ctx.field, ctx.q)
+        ops = block_operators(n, lam, ctx.field)
         self.index = ops.index
         x = _times_varpi(ops.P, ops.basis, ctx)
         super().__init__(ops.basis, x, {i - 1: t for i, t in ops.T.items()},
@@ -192,7 +192,7 @@ def module_blocks(n, ctx):
     T_i."""
     for lam in lambda_range(n):
         module = weight_module(n, lam, ctx)
-        ops = block_operators(n, lam, ctx.field, ctx.q)
+        ops = block_operators(n, lam, ctx.field)
         basis = module.basis
         t_inv, s = ops._matrices(op_T_inv_ctx), ops._matrices(op_S_ctx)
         mats = {f"U{i}": u for i, u in enumerate(module.U)}
@@ -443,12 +443,12 @@ def _canonical_family(n, label, ctx):
 # the point (n, lam) and the lambda-swapped route of the point (n, -lam)
 # share one elimination
 @lru_cache(maxsize=32)
-def tl_span(n, lam, field, q):
+def tl_span(n, lam, field):
     """The exact span of the straightened Temperley-Lieb elements of
     M_n(lam) in the coordinates of its weight basis, with the size of the
     family: (SpanSolver, size).  Shared, so it is read with `contains` and
     never inserted into."""
-    ops = block_operators(n, lam, field, q)
+    ops = block_operators(n, lam, field)
     tl = _canonical_family(n, WeightLabel(n, lam), ops.ctx)
     span = SpanSolver()
     for v in tl:
@@ -495,7 +495,7 @@ def _adjointness_injective(n, lam, ctx):
     if abs(lam) == n:
         raise ValueError("lambda = +-n is outside the adjointness setting")
     module = weight_module(n, lam, ctx)
-    span, size = tl_span(n, lam, ctx.field, ctx.q)
+    span, size = tl_span(n, lam, ctx.field)
     dec = module.coords(decorated_vect(
         "2" * (label.n2 - 1) + "1" * (label.n1 - 1), label, ctx))
     # modulo the TL span the decorated element is the special scalar times

@@ -18,8 +18,7 @@ PERFBENCH = ROOT / "perfbench"
 
 # these write l and m into their records and compute the residue verdicts
 RECORD_BUILDERS = {"weightmod.adjointness_record",
-                   "specht.dual_adjointness_check",
-                   "towers.SplittingResult.to_record"}
+                   "specht.dual_adjointness_check"}
 
 
 def _functions(module):

@@ -14,9 +14,10 @@ from hypothesis import strategies as st
 
 import blobtensor.scalars as scalars_module
 from blobtensor.scalars import (GENERIC, BlobParams, CycScalar,
-                                GenericScalar, ParameterError, _pcontent,
-                                _pgcd, _pmul, check_params, context,
-                                cyclotomic_field, cyclotomic_polynomial,
+                                FieldContext, GenericScalar, ParameterError,
+                                _pcontent, _pgcd, _pmul, check_params,
+                                context, cyclotomic_field,
+                                cyclotomic_polynomial,
                                 effective_max_n, memos, residues_equal,
                                 specialize, validate_params)
 
@@ -109,6 +110,29 @@ def test_lambda_params_closed_forms():
 def test_lambda_ratio_is_q_2m(m):
     ctx = context(BlobParams(2, 0, m))
     assert ctx.lam1 / ctx.lam2 == GENERIC.q ** (2 * m)
+
+
+@pytest.mark.parametrize("l", [0, 5, 7])
+def test_contexts_are_interned_by_the_lambda_pair(l):
+    # n is no part of a context, and the swap of m is the context of -m
+    for m in (2, 3):
+        ctx = context(BlobParams(3, l, m))
+        assert ctx is context(BlobParams(9, l, m))
+        assert ctx.swapped() is context(BlobParams(3, l, -m))
+        assert ctx.swapped().swapped() is ctx
+        assert (ctx.q, ctx.one, ctx.zero) == \
+            (ctx.field.q, ctx.field.one, ctx.field.zero)
+
+
+def test_congruent_m_give_one_context():
+    # lambda1 and lambda2 read m through q^m, and q^5 = 1
+    for n in (3, 6):
+        assert context(BlobParams(n, 5, -3)) is context(BlobParams(n, 5, 2))
+
+
+def test_context_equality_is_identity():
+    assert "__eq__" not in vars(FieldContext)
+    assert "__hash__" not in vars(FieldContext)
 
 
 def test_validate_params_codes():

@@ -177,7 +177,7 @@ def test_block_tables_match_the_word_rules(params):
         blocks = list(weightmod.module_blocks(n, ctx))
         assert len(blocks) == len(lambda_range(n))
         for lam, (basis, mats) in zip(lambda_range(n), blocks):
-            ops = weightmod.block_operators(n, lam, ctx.field, ctx.q)
+            ops = weightmod.block_operators(n, lam, ctx.field)
             module = weight_module(n, lam, ctx)
             assert ops.basis == module.basis == basis == weight_basis(n, lam)
             ref = _ref_block(n, basis, ctx, rules)
@@ -245,7 +245,7 @@ def test_each_field_gets_its_own_table():
     tables = []
     for params in TABLE_PARAMS:
         ctx = context(params)
-        ops = weightmod.block_operators(n, lam, ctx.field, ctx.q)
+        ops = weightmod.block_operators(n, lam, ctx.field)
         rules = _ref_rules(ctx)
         basis = weight_basis(n, lam)
         # T^-1 is built per point by module_blocks, on the table's context
@@ -479,7 +479,7 @@ def test_shared_tl_span_gives_the_same_injectivity_records():
                                 _injectivity_by_one_elimination(n, lam, c)
                             assert _adjointness_injective(n, lam, c) == \
                                 expect, (l, m, n, lam)
-                            span, _ = weightmod.tl_span(n, lam, c.field, c.q)
+                            span, _ = weightmod.tl_span(n, lam, c.field)
                             assert (span.rank, span.rows) == \
                                 (len(tl_rows), tl_rows), (l, m, n, lam)
 
