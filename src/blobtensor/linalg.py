@@ -259,26 +259,39 @@ def nullspace(cols, one):
     return basis
 
 
-def _closure(span, seeds, matrices, apply, stop=None):
+def _closure(span, seeds, matrices, apply, stop=None, seed_generator=None):
     """Grow `span` (anything with `insert(vec, tag)` and `rank`) to the
     smallest subspace holding the seeds and invariant under every matrix,
     applied as `apply(matrix, vec)`: the seeds in order, then each matrix
-    over each frontier vector, until the rank reaches `stop`.  Each accepted
+    over each frontier vector, until the rank reaches `stop` (with no
+    matrices, the span of the seeds stops there too).  Each accepted
     vector is tagged with its origin: (None, k) for seed k, (i, a) for
-    matrix i applied to accepted vector a."""
+    matrix i applied to accepted vector a.
+
+    With `seed_generator` j, the matrices are the blob generators U_0 ..
+    U_{n-1}, whose graph is a path, and the seeds span the image of U_j:
+    a vector made by U_i (a seed by U_j) meets only U_{i-1} and U_{i+1}.
+    U_i acts on its own image as a scalar (U_i^2 = c U_i), and a far U_k
+    commutes with U_i, so the products skipped are repeated or commuted
+    ones; the result may still fall short of the closure, and only a
+    certificate that reads every matrix can tell."""
     frontier = []
     for k, v in enumerate(seeds):
         if span.insert(v, (None, k)):
-            frontier.append((span.rank - 1, v))
+            if span.rank == stop and not matrices:
+                return span
+            frontier.append((span.rank - 1, v, seed_generator))
     while frontier and span.rank != stop:
         new_frontier = []
         for i, m in enumerate(matrices):
-            for a, v in frontier:
+            for a, v, j in frontier:
+                if seed_generator is not None and abs(i - j) != 1:
+                    continue
                 w = apply(m, v)
                 if span.insert(w, (i, a)):
                     if span.rank == stop:
                         return span
-                    new_frontier.append((span.rank - 1, w))
+                    new_frontier.append((span.rank - 1, w, i))
         frontier = new_frontier
     return span
 
@@ -396,7 +409,7 @@ def left_kernel(vectors, dim, one):
 
 
 def certified_rank(seed_vectors, matrices, dim, modular, one, ys=None,
-                   residues=None):
+                   residues=None, seed_generator=None):
     """Exact rank of invariant_closure(seed_vectors, matrices) in a
     dim-dimensional space, read mod p through `modular`, with the left
     kernel Y that certifies it: (rank, Y), or None.  With no matrices the
@@ -406,10 +419,16 @@ def certified_rank(seed_vectors, matrices, dim, modular, one, ys=None,
     closure, so the rank r of any part of it is a lower bound, and r = dim
     proves full rank.  Below it, if Y annihilates every seed and y.M lies in
     span(Y) for every y in Y and every matrix M, then Y^perp is an invariant
-    subspace of dimension dim - |Y| holding the seeds, so it holds the
-    closure, and r = dim - |Y| proves the rank; the closure mod p stops
-    there.  Y defaults to the exact left kernel of the vectors accepted mod
-    p, rebuilt from their origins.
+    subspace of dimension dim - rank(Y) holding the seeds, so it holds the
+    closure, and r = dim - rank(Y) proves the rank.  The closure mod p
+    stops at dim - |Y| once every seed is in (with no matrices, only at
+    dim), so a caller's Y never turns down seeds of full rank, and a
+    dependent one proves nothing.  Y defaults to the exact left kernel of
+    the vectors accepted mod p, rebuilt from their origins.
+
+    `seed_generator` grows the closure mod p along the generators' path
+    (`_closure`); the certificate still reads every matrix, so a closure
+    that falls short returns None.
 
     `residues`, when given, returns the matrices already reduced by
     `modular` (a caller's stored residues); it is called here, so that a
@@ -423,7 +442,8 @@ def certified_rank(seed_vectors, matrices, dim, modular, one, ys=None,
             else residues()
         span = _closure(ModSpan(p), seeds, reduced,
                         lambda m, v: _mat_vec_mod(m, v, p),
-                        dim if ys is None else dim - len(ys))
+                        dim if ys is None or not reduced else dim - len(ys),
+                        seed_generator)
     except ZeroDivisionError:
         return None
     r = span.rank
@@ -437,19 +457,18 @@ def certified_rank(seed_vectors, matrices, dim, modular, one, ys=None,
             accepted.append(seed_vectors[a] if i is None
                             else mat_vec(matrices[i], accepted[a]))
         ys = left_kernel(accepted, dim, one)
-    if r != dim - len(ys) or not _annihilates(ys, seed_vectors):
+    kernel = SpanSolver()
+    for y in ys:
+        kernel.insert(y)
+    if r != dim - kernel.rank or not _annihilates(ys, seed_vectors):
         return None
-    if matrices:
-        kernel = SpanSolver()
+    for m in matrices:
         for y in ys:
-            kernel.insert(y)
-        for m in matrices:
-            for y in ys:
-                row = {}
-                for j, col in enumerate(m):
-                    d = _dot(y, col)
-                    if d is not None and not d.is_zero():
-                        row[j] = d
-                if not kernel.contains(row):
-                    return None
+            row = {}
+            for j, col in enumerate(m):
+                d = _dot(y, col)
+                if d is not None and not d.is_zero():
+                    row[j] = d
+            if not kernel.contains(row):
+                return None
     return r, ys

@@ -294,7 +294,9 @@ def dual_adjointness_check(n, lam, params):
     # fixes X and g_i, and (g - c)^T = g^T - c.  The closure mod p reads
     # the transposed residues of the module's U_i; the exact transposes are
     # built for the seeds (U_{n-1}^T) and, below full rank, for the
-    # certificate or the exact elimination
+    # certificate or the exact elimination.  The seeds, -[2]-eigenvectors of
+    # U_{n-1}^T, span its image, so the closure grows along the generators'
+    # path from U_{n-1}^T
     last = mat_transpose(module.U[-1], dim)
     seeds = [c for c in _e_matrix([last], ctx) if c]
 
@@ -304,7 +306,8 @@ def dual_adjointness_check(n, lam, params):
     found = certified_rank(
         seeds, dual_u, dim, modular, ctx.one,
         residues=lambda: [mat_transpose(r, dim)
-                          for r in module_residues(module, modular)])
+                          for r in module_residues(module, modular)],
+        seed_generator=n - 1)
     closure_rank = found[0] if found is not None \
         else invariant_closure(seeds, dual_u()).rank
     direct_surjective = closure_rank == dim

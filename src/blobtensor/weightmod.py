@@ -384,12 +384,15 @@ class SurjectivityResult:
 def _modular_surjective(module, family, seeds):
     """(rank_span, closure_rank, spans_agree) from ranks mod p, each
     certified exactly, or None.  The family's annihilator Y also certifies
-    the closure: Y^perp is then both the family span and the closure."""
+    the closure: Y^perp is then both the family span and the closure.  The
+    seeds, -[2]-eigenvectors of U_1, span its image, so the closure grows
+    along the generators' path from U_1."""
     modular, one = module.ctx.field.modular, module.ctx.one
     found = certified_rank(family, [], module.dim, modular, one)
     if found is None or certified_rank(
             seeds, module.U, module.dim, modular, one, found[1],
-            residues=lambda: module_residues(module, modular)) != found:
+            residues=lambda: module_residues(module, modular),
+            seed_generator=1) != found:
         return None
     return found[0], found[0], True
 

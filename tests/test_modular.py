@@ -5,6 +5,7 @@ and the exact fallback on the benchmark grid."""
 import hashlib
 import json
 import math
+import os
 import random
 from functools import lru_cache
 from pathlib import Path
@@ -14,11 +15,11 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from blobtensor import specht, towers, weightmod
+from blobtensor import linalg, specht, towers, weightmod
 from blobtensor.cli import main
-from blobtensor.linalg import (ModSpan, _closure, _mat_vec_mod,
+from blobtensor.linalg import (ModSpan, SpanSolver, _closure, _mat_vec_mod,
                                certified_rank, invariant_closure,
-                               left_kernel, span_rank)
+                               left_kernel, mat_vec, span_rank, vec_scale)
 from blobtensor.scalars import (GENERIC, BlobParams, ModularMap, _is_prime,
                                 context, cyclotomic_field)
 
@@ -373,6 +374,19 @@ def test_closure_certificate_needs_every_seed_and_the_dimension():
                           one, []) is None
 
 
+def test_dependent_annihilator_proves_nothing():
+    # y = e_2 twice kills the seed and is invariant, but its span has
+    # dimension 1, not 2: the closure span(e_0, e_1) has rank 2, not 1
+    field = cyclotomic_field(5)
+    one = field.one
+    shift = [{1: one}, {}, {}]
+    assert invariant_closure([{0: one}], [shift]).rank == 2
+    assert certified_rank([{0: one}], [shift], 3, field.modular, one,
+                          [{2: one}, {2: one}]) is None
+    assert certified_rank([{0: one}], [shift], 3, field.modular, one,
+                          [{2: one}]) == (2, [{2: one}])
+
+
 def test_vanishing_denominator_falls_back(monkeypatch):
     params = BlobParams(5, 0, 2)
     exact = specht.dual_adjointness_check(5, 1, params)
@@ -519,3 +533,137 @@ def test_fallback_gives_the_same_reports(tmp_path, monkeypatch):
     _adjoint_cyc_reports(tmp_path)
     # every primal, swapped and dual closure: 40 points per m
     assert len(calls) == 3 * 40 * 3
+
+
+# ---------------------------------------------------------------------------
+# the counit closures grown along the generators' path
+# ---------------------------------------------------------------------------
+
+def _path_calls(monkeypatch, argv):
+    """Run a CLI command with the certified_rank of weightmod and specht
+    replayed: every call that grows its closure along the generators' path
+    is made again without the rule and must give the same (rank, Y), never
+    None.  Returns (seeds, matrices, seed_generator) of those calls."""
+    calls = []
+
+    def replay(real):
+        def wrapper(*args, **kwargs):
+            found = real(*args, **kwargs)
+            j = kwargs.get("seed_generator")
+            if j is not None:
+                full = real(*args, **dict(kwargs, seed_generator=None))
+                assert found is not None and found == full, args[:3]
+                matrices = args[1]() if callable(args[1]) else args[1]
+                calls.append((args[0], matrices, j))
+            return found
+        return wrapper
+
+    for home in (weightmod, specht):
+        monkeypatch.setattr(home, "certified_rank",
+                            replay(home.certified_rank))
+    assert main(argv + ["--out", os.devnull]) == 0
+    return calls
+
+
+@pytest.mark.parametrize("l", [0, 5, 7])
+def test_path_seeds_span_the_image_of_their_generator(l, monkeypatch):
+    # the primal seeds (I2 underlined at positions 1, 2) are -[2]
+    # eigenvectors of U_1 and the dual seeds (columns of -U_{n-1}^T/[2])
+    # of U_{n-1}^T, and each family spans its generator's image
+    ctx = context(BlobParams(3, l, 2))
+    minus_two = -(ctx.q + ctx.qinv)
+    calls = _path_calls(monkeypatch, ["adjointness", "--n", "3..8",
+                                      "--l", str(l), "--m", "2"])
+    assert {j == 1 for _, _, j in calls} == {True, False}
+    for seeds, matrices, j in calls:
+        assert j in (1, len(matrices) - 1)
+        u = matrices[j]
+        assert all(mat_vec(u, s) == vec_scale(s, minus_two) for s in seeds)
+        assert span_rank(seeds) == span_rank(u)
+
+
+def test_path_rule_gives_the_unpruned_certificates(monkeypatch):
+    calls = _path_calls(monkeypatch, [
+        "adjointness", "--n", "3..8", "--l", "0,3,5,7",
+        "--m", "-2,-1,0,1,2,3,4"])
+    # a primal, a swapped and a dual closure at each of the 459 points
+    assert len(calls) == 3 * 459
+
+
+def test_path_rule_shortfall_falls_back():
+    # U_1 alone moves e_0, and the rule never applies it to a seed made
+    # by U_1: the pruned closure stops short, and the certificate, which
+    # reads every matrix, turns its Y down
+    field = cyclotomic_field(5)
+    one = field.one
+    zero, shift = [{}, {}], [{1: one}, {}]
+    gens = [zero, shift, zero]
+    assert _closure(SpanSolver(), [{0: one}], gens, mat_vec,
+                    seed_generator=1).rank == 1
+    assert invariant_closure([{0: one}], gens).rank == 2
+    assert certified_rank([{0: one}], gens, 2, field.modular, one,
+                          seed_generator=1) is None
+    assert certified_rank([{0: one}], gens, 2, field.modular, one) == \
+        (2, [])
+
+
+def test_span_of_seeds_stops_at_full_rank(monkeypatch):
+    # with no matrices the seeds stop once they span the space; a caller's
+    # Y (here a forged one) does not stop them earlier
+    field = cyclotomic_field(5)
+    one = field.one
+    inserted = []
+    real = ModSpan.insert
+
+    def insert(self, vec, tag=None):
+        inserted.append(tag)
+        return real(self, vec, tag)
+
+    monkeypatch.setattr(ModSpan, "insert", insert)
+    plane = [{0: one}, {1: one}, {0: one, 1: one}]
+    assert certified_rank(plane, [], 2, field.modular, one) == (2, [])
+    assert inserted == [(None, 0), (None, 1)]
+    assert certified_rank(plane, [], 2, field.modular, one,
+                          [{0: one}]) == (2, [])
+
+
+def test_counit_sweep_insert_and_product_counts(monkeypatch):
+    # the path rule leaves every accepted insert of the adjoint-cyc m = 2
+    # command in place and cuts the closure products from 7,673
+    spec = json.loads((PERFBENCH / "workloads.json").read_text())
+    (command,) = spec["adjoint-cyc"]["commands"]
+    accepted, products = [], []
+    real_insert, real_product = ModSpan.insert, linalg._mat_vec_mod
+
+    def insert(self, vec, tag=None):
+        grew = real_insert(self, vec, tag)
+        accepted.append(grew)
+        return grew
+
+    def product(*args):
+        products.append(None)
+        return real_product(*args)
+
+    monkeypatch.setattr(ModSpan, "insert", insert)
+    monkeypatch.setattr(linalg, "_mat_vec_mod", product)
+    argv = [a.replace("{m}", "2") for a in command]
+    assert main(argv + ["--out", os.devnull]) == 0
+    assert sum(accepted) == 2342
+    assert len(products) <= 2200
+
+
+@pytest.mark.parametrize("l, digest", [
+    (0, "f3a0f940d46d9dc3f0cb00a3598c02c778fc6265c03d10fa42752601a826a4d1"),
+    (5, "971ec1ac20f017f6bbd8c1f6054fac4629b0d003f021858e480f59ddd4b4dae3"),
+], ids=["generic", "cyc5"])
+def test_ladder_point_needs_no_fallback(l, digest, tmp_path, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("exact fallback taken")
+
+    monkeypatch.setattr(weightmod, "invariant_closure", refuse)
+    monkeypatch.setattr(specht, "invariant_closure", refuse)
+    out = tmp_path / "report.json"
+    assert main(["adjointness", "--n", "10", "--l", str(l), "--m", "2",
+                 "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
