@@ -432,9 +432,7 @@ def certified_rank(seed_vectors, matrices, dim, modular, one, ys=None,
 
     `residues`, when given, returns the matrices already reduced by
     `modular` (a caller's stored residues); it is called here, so that a
-    vanishing denominator still returns None.  `matrices` may then be a
-    function that builds the exact matrices, called only when the
-    certificate reads them, that is, below full rank."""
+    vanishing denominator still returns None."""
     p = modular.p
     try:
         seeds = [modular.vec(v) for v in seed_vectors]
@@ -449,8 +447,6 @@ def certified_rank(seed_vectors, matrices, dim, modular, one, ys=None,
     r = span.rank
     if r == dim:
         return r, []
-    if callable(matrices):
-        matrices = matrices()
     if ys is None:
         accepted = []
         for i, a in span.tags:

@@ -32,8 +32,8 @@ from .linalg import (certified_rank, invariant_closure, mat_sub_scalar_diag,
 from .scalars import context, residues_equal
 from .tensor import Relation, RelationCheck, evaluate, ops_Xk_ctx, word
 from .weightmod import (WeightLabel, _adjointness_injective,
-                        _adjointness_surjective, _e_matrix, module_residues,
-                        special_element_scalar, weight_module)
+                        _adjointness_surjective, localized_basis,
+                        module_residues, special_element_scalar, weight_module)
 
 
 # ---------------------------------------------------------------------------
@@ -290,26 +290,20 @@ def dual_adjointness_check(n, lam, params):
     label = WeightLabel(n, lam)
     module = weight_module(n, lam, ctx)
     dim, modular = module.dim, ctx.field.modular
+
     # the generators of the dual are the transposed U_i: the antiinvolution
-    # fixes X and g_i, and (g - c)^T = g^T - c.  The closure mod p reads
-    # the transposed residues of the module's U_i; the exact transposes are
-    # built for the seeds (U_{n-1}^T) and, below full rank, for the
-    # certificate or the exact elimination.  The seeds, -[2]-eigenvectors of
-    # U_{n-1}^T, span its image, so the closure grows along the generators'
-    # path from U_{n-1}^T
-    last = mat_transpose(module.U[-1], dim)
-    seeds = [c for c in _e_matrix([last], ctx) if c]
+    # fixes X and g_i, and (g - c)^T = g^T - c.  The R-matrix of the tensor
+    # space is symmetric, so is U_i = T_{i+1} - q for i >= 1, and only U_0
+    # is transposed.  The seeds, the basis of eM, span the image of U_{n-1}.
+    def dual(us):
+        return [mat_transpose(us[0], dim)] + us[1:]
 
-    def dual_u():
-        return [mat_transpose(u, dim) for u in module.U[:-1]] + [last]
-
+    seeds, gens = localized_basis(module), dual(module.U)
     found = certified_rank(
-        seeds, dual_u, dim, modular, ctx.one,
-        residues=lambda: [mat_transpose(r, dim)
-                          for r in module_residues(module, modular)],
-        seed_generator=n - 1)
+        seeds, gens, dim, modular, ctx.one, seed_generator=n - 1,
+        residues=lambda: dual(module_residues(module, modular)))
     closure_rank = found[0] if found is not None \
-        else invariant_closure(seeds, dual_u()).rank
+        else invariant_closure(seeds, gens).rank
     direct_surjective = closure_rank == dim
 
     sctx = ctx.swapped()

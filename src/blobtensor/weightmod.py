@@ -218,6 +218,14 @@ def underline_vect(w1, w2, ctx):
     return {w1 + "12" + w2: ctx.qinv, w1 + "21" + w2: -ctx.one}
 
 
+def localized_basis(module):
+    """The basis of eM_n(lam) in the coordinates of M_n(lam), the columns
+    F(w) = q^-1 w12 - w21 of the underline map, w over the basis of
+    M_{n-2}(lam): the seeds of the primal and the dual counit closure."""
+    return [module.coords(underline_vect(w, "", module.ctx))
+            for w in weight_basis(module.n - 2, module.lam)]
+
+
 def localized_dim(module):
     """dim eM_n(lam): the rank of e = -U_{n-1}/[2] on M_n(lam).  That eM
     with U_0 .. U_{n-3} is M_{n-2}(lam) is the claim of `underline_map`."""
@@ -261,7 +269,7 @@ def underline_map(n, lam, ctx):
         raise ValueError("lambda = +-n localizes to zero; the map is undefined")
     big = weight_module(n, lam, ctx)
     small = weight_module(n - 2, lam, ctx)
-    fcols = [big.coords(underline_vect(w, "", ctx)) for w in small.basis]
+    fcols = localized_basis(big)
     emat = _e_matrix(big.U, ctx)
     # image sits inside eM and spans it
     e_fixes = all(mat_vec(emat, col) == col for col in fcols)
@@ -350,17 +358,17 @@ def special_element_scalar(n, lam, ctx):
 
 def _image_family(module):
     """The spanning family of the counit image in the coordinates of
-    M_n(lam), and the seeds of eM: (family, seeds).  The family lists the
-    two-term I2 vectors (the underline at every position) before the dense
-    I1 = U_0 applied to the seeds, which are the I2 vectors underlined at
-    positions 1, 2: the rank does not depend on the order, but the fill-in
-    does."""
+    M_n(lam), and the seeds of the closure: (family, seeds).  The family
+    lists the two-term I2 vectors (the underline at every position) before
+    the dense I1, U_0 applied to the I2 vectors underlined at positions
+    1, 2: the rank does not depend on the order, but the fill-in does.  The
+    seeds are `localized_basis`, the basis of eM."""
     ctx = module.ctx
     interior = weight_words(module.n - 2, module.label.n1 - 1)
     i2 = [module.coords(underline_vect(word[:k], word[k:], ctx))
           for k in range(module.n - 1) for word in interior]
-    seeds = i2[:len(interior)]
-    return i2 + [mat_vec(module.U[0], s) for s in seeds], seeds
+    return (i2 + [mat_vec(module.U[0], v) for v in i2[:len(interior)]],
+            localized_basis(module))
 
 
 @dataclass
@@ -385,14 +393,14 @@ def _modular_surjective(module, family, seeds):
     """(rank_span, closure_rank, spans_agree) from ranks mod p, each
     certified exactly, or None.  The family's annihilator Y also certifies
     the closure: Y^perp is then both the family span and the closure.  The
-    seeds, -[2]-eigenvectors of U_1, span its image, so the closure grows
-    along the generators' path from U_1."""
+    seeds, the basis of eM, span the image of U_{n-1}, so the closure grows
+    along the generators' path from U_{n-1} and reaches the dense U_0 last."""
     modular, one = module.ctx.field.modular, module.ctx.one
     found = certified_rank(family, [], module.dim, modular, one)
     if found is None or certified_rank(
             seeds, module.U, module.dim, modular, one, found[1],
             residues=lambda: module_residues(module, modular),
-            seed_generator=1) != found:
+            seed_generator=module.n - 1) != found:
         return None
     return found[0], found[0], True
 

@@ -387,7 +387,7 @@ def test_dependent_annihilator_proves_nothing():
                           [{2: one}]) == (2, [{2: one}])
 
 
-def test_vanishing_denominator_falls_back(monkeypatch):
+def test_dual_rank_drop_mod_p_falls_back(monkeypatch):
     params = BlobParams(5, 0, 2)
     exact = specht.dual_adjointness_check(5, 1, params)
     calls = []
@@ -398,12 +398,28 @@ def test_vanishing_denominator_falls_back(monkeypatch):
         return real(*args)
 
     monkeypatch.setattr(specht, "invariant_closure", counted)
-    # q -> 5 in F_13 is a ring map with 5^2 = -1, so the seeds of the dual
-    # closure, columns of -U_{n-1}/[2], have denominators q^2 + 1 that
-    # vanish
-    monkeypatch.setattr(GENERIC, "modular", ModularMap(13, 5))
+    # q -> 4 = -1 in F_5 is a ring map under which the dual closure's rank
+    # drops, so its certificate fails and the exact elimination decides
+    monkeypatch.setattr(GENERIC, "modular", ModularMap(5, 4))
     assert specht.dual_adjointness_check(5, 1, params) == exact
     assert len(calls) == 1
+
+
+def test_vanishing_residue_of_a_generator_returns_none():
+    # the stored residues are read inside the guard: a denominator that
+    # vanishes there proves nothing, and the caller decides exactly
+    field = cyclotomic_field(5)
+    one = field.one
+    shift = [{1: one}, {}]
+
+    def vanishing():
+        raise ZeroDivisionError("denominator vanishes")
+
+    assert certified_rank([{0: one}], [shift], 2, field.modular, one,
+                          residues=vanishing) is None
+    assert certified_rank([{0: one}], [shift], 2, field.modular, one,
+                          residues=lambda: [field.modular.mat(shift)]) == \
+        (2, [])
 
 
 def test_perturbation_invisible_mod_p_changes_the_rank(monkeypatch):
@@ -470,7 +486,7 @@ def test_benchmark_grid_needs_no_fallback(tmp_path, monkeypatch):
 
 def test_generators_are_reduced_once_per_module(tmp_path, monkeypatch):
     # the primal and the dual closure of a point read the residues of its
-    # weight module (the dual transposes them), and the swapped route those
+    # weight module (the dual transposes U_0's), and the swapped route those
     # of its own module: no other matrix is reduced, and no module's
     # generators more than once.  Each m runs on fresh caches, as each
     # benchmark call runs in a fresh process
@@ -553,8 +569,7 @@ def _path_calls(monkeypatch, argv):
             if j is not None:
                 full = real(*args, **dict(kwargs, seed_generator=None))
                 assert found is not None and found == full, args[:3]
-                matrices = args[1]() if callable(args[1]) else args[1]
-                calls.append((args[0], matrices, j))
+                calls.append((args[0], args[1], j))
             return found
         return wrapper
 
@@ -567,19 +582,19 @@ def _path_calls(monkeypatch, argv):
 
 @pytest.mark.parametrize("l", [0, 5, 7])
 def test_path_seeds_span_the_image_of_their_generator(l, monkeypatch):
-    # the primal seeds (I2 underlined at positions 1, 2) are -[2]
-    # eigenvectors of U_1 and the dual seeds (columns of -U_{n-1}^T/[2])
-    # of U_{n-1}^T, and each family spans its generator's image
+    # the primal and the dual seeds, the basis of eM, are -[2]
+    # eigenvectors of U_{n-1} (of the module and of its dual), linearly
+    # independent, and span its image
     ctx = context(BlobParams(3, l, 2))
     minus_two = -(ctx.q + ctx.qinv)
     calls = _path_calls(monkeypatch, ["adjointness", "--n", "3..8",
                                       "--l", str(l), "--m", "2"])
-    assert {j == 1 for _, _, j in calls} == {True, False}
+    assert calls
     for seeds, matrices, j in calls:
-        assert j in (1, len(matrices) - 1)
+        assert j == len(matrices) - 1
         u = matrices[j]
         assert all(mat_vec(u, s) == vec_scale(s, minus_two) for s in seeds)
-        assert span_rank(seeds) == span_rank(u)
+        assert span_rank(seeds) == len(seeds) == span_rank(u)
 
 
 def test_path_rule_gives_the_unpruned_certificates(monkeypatch):
@@ -629,15 +644,23 @@ def test_span_of_seeds_stops_at_full_rank(monkeypatch):
 
 def test_counit_sweep_insert_and_product_counts(monkeypatch):
     # the path rule leaves every accepted insert of the adjoint-cyc m = 2
-    # command in place and cuts the closure products from 7,673
+    # command in place and cuts the closure products from 7,673; the seeds
+    # of a closure under generators, the basis of eM, are independent
     spec = json.loads((PERFBENCH / "workloads.json").read_text())
     (command,) = spec["adjoint-cyc"]["commands"]
-    accepted, products = [], []
+    accepted, products, closures, rejected_seeds = [], [], [], []
     real_insert, real_product = ModSpan.insert, linalg._mat_vec_mod
+    real_closure = linalg._closure
+
+    def closure(span, seeds, matrices, *args):
+        closures.append(bool(matrices))
+        return real_closure(span, seeds, matrices, *args)
 
     def insert(self, vec, tag=None):
         grew = real_insert(self, vec, tag)
         accepted.append(grew)
+        if not grew and tag[0] is None and closures[-1]:
+            rejected_seeds.append(tag)
         return grew
 
     def product(*args):
@@ -646,9 +669,12 @@ def test_counit_sweep_insert_and_product_counts(monkeypatch):
 
     monkeypatch.setattr(ModSpan, "insert", insert)
     monkeypatch.setattr(linalg, "_mat_vec_mod", product)
+    monkeypatch.setattr(linalg, "_closure", closure)
     argv = [a.replace("{m}", "2") for a in command]
     assert main(argv + ["--out", os.devnull]) == 0
     assert sum(accepted) == 2342
+    assert len(accepted) - sum(accepted) <= 1550
+    assert rejected_seeds == []
     assert len(products) <= 2200
 
 
@@ -657,13 +683,37 @@ def test_counit_sweep_insert_and_product_counts(monkeypatch):
     (5, "971ec1ac20f017f6bbd8c1f6054fac4629b0d003f021858e480f59ddd4b4dae3"),
 ], ids=["generic", "cyc5"])
 def test_ladder_point_needs_no_fallback(l, digest, tmp_path, monkeypatch):
+    # grown from eM, each primal closure's echelon stores at most 2 dim
+    # entries, pivots included (2,662 at dim 210 when it grew from U_1)
     def refuse(*args):
         raise AssertionError("exact fallback taken")
 
+    real_rank, real_insert = weightmod.certified_rank, ModSpan.insert
+    peaks, growing = [], []     # [dim, peak] of each primal closure
+
+    def rank(seeds, matrices, dim, *args, **kwargs):
+        growing.append(bool(matrices))
+        if matrices:
+            peaks.append([dim, 0])
+        try:
+            return real_rank(seeds, matrices, dim, *args, **kwargs)
+        finally:
+            growing.pop()
+
+    def insert(self, vec, tag=None):
+        grew = real_insert(self, vec, tag)
+        if growing and growing[-1]:
+            stored = len(self.rows) + sum(map(len, self.rows.values()))
+            peaks[-1][1] = max(peaks[-1][1], stored)
+        return grew
+
     monkeypatch.setattr(weightmod, "invariant_closure", refuse)
     monkeypatch.setattr(specht, "invariant_closure", refuse)
+    monkeypatch.setattr(weightmod, "certified_rank", rank)
+    monkeypatch.setattr(ModSpan, "insert", insert)
     out = tmp_path / "report.json"
     assert main(["adjointness", "--n", "10", "--l", str(l), "--m", "2",
                  "--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+    assert peaks and all(peak <= 2 * dim for dim, peak in peaks)
 

@@ -67,15 +67,24 @@ def test_module_matrices_match_generators():
 
 
 def test_dual_generators_are_transposes():
-    # dual_adjointness_check takes the transposed U_i as the dual's
-    # generators, since (g - c)^T = g^T - c
-    for n, lam, l in ((3, 1, 0), (4, 0, 0), (5, -1, 0), (4, -2, 5),
-                      (5, 1, 7), (6, 0, 5)):
-        module = weight_module(n, lam, context(BlobParams(n, l, 2)))
-        dual = dualize(module)
-        assert len(dual.U) == len(module.U) == n
-        for u, du in zip(module.U, dual.U):
-            assert du == mat_transpose(u, module.dim)
+    # the dual's generators are the transposed U_i, since (g - c)^T =
+    # g^T - c; U_i = T_{i+1} - q (i >= 1) is symmetric on the word basis,
+    # so dual_adjointness_check transposes only U_0
+    symmetric = 0
+    for l in (0, 5, 7):
+        ctx = context(BlobParams(8, l, 2))
+        for n in range(1, 9):
+            for lam in lambda_range(n):
+                module = weight_module(n, lam, ctx)
+                dual = dualize(module)
+                assert len(dual.U) == len(module.U) == n
+                for u, du in zip(module.U, dual.U):
+                    assert du == mat_transpose(u, module.dim)
+                for u in module.U[1:]:
+                    assert mat_transpose(u, module.dim) == u
+                    symmetric += 1
+                assert dual.U[1:] == module.U[1:]
+    assert symmetric == 588
 
 
 # ---------------------------------------------------------------------------
