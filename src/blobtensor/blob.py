@@ -26,8 +26,8 @@ from itertools import accumulate
 from .linalg import mat_mul, mat_sub_scalar_diag, mat_transpose
 from .relations import (ZERO, Relation, ariki_koike_relations, blob_identity,
                         blob_relations, evaluate, product)
-from .tensor import (verify_ariki_koike, verify_blob_identity,
-                     verify_partial_rotation_fixing)
+from .tensor import (evaluate_on_support, verify_ariki_koike,
+                     verify_blob_identity, verify_partial_rotation_fixing)
 
 
 class MatrixRep:
@@ -84,10 +84,10 @@ def dualize(rep):
 
 def verify_blob_relations(n, ctx, blocks):
     """Check every defining relation of the blob algebra on every basis word
-    of V^(x)n, through the matrices of the weight blocks; n = 1 has only
-    U0."""
-    return evaluate(blob_relations([f"U{i}" for i in range(n)], ctx),
-                    blocks, ctx.one)
+    of V^(x)n, through the matrices of the weight blocks, those without U0
+    on their support (`evaluate_on_support`); n = 1 has only U0."""
+    return evaluate_on_support(
+        blob_relations([f"U{i}" for i in range(n)], ctx), n, ctx, blocks)
 
 
 def blob_relation_checks_matrices(um, ctx, prefix=""):

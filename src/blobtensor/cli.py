@@ -16,9 +16,9 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import json
 import os
 import sys
+from json.encoder import encode_basestring_ascii
 
 from . import blob, specht, towers, weightmod
 from .scalars import (BlobParams, ParameterError, check_params, check_size,
@@ -161,18 +161,81 @@ def _check_out(path):
     raise ParameterError("bad_out", f"--out {path}: {problem}")
 
 
+def _float(x):
+    if x != x:
+        return "NaN"
+    if x == float("inf"):
+        return "Infinity"
+    if x == float("-inf"):
+        return "-Infinity"
+    return float.__repr__(x)
+
+
+def _json(o, indent):
+    """The text of `json.dumps(o, sort_keys=True, indent=2)`, each line
+    after the first indented further by `indent` (a newline and spaces)."""
+    if isinstance(o, str):
+        return encode_basestring_ascii(o)
+    if o is None:
+        return "null"
+    if o is True:
+        return "true"
+    if o is False:
+        return "false"
+    if isinstance(o, int):
+        return int.__repr__(o)
+    if isinstance(o, float):
+        return _float(o)
+    inner = indent + "  "
+    if isinstance(o, (list, tuple)):
+        return "[" + inner + ("," + inner).join(
+            _json(v, inner) for v in o) + indent + "]" if o else "[]"
+    if isinstance(o, dict):
+        return "{" + inner + ("," + inner).join(
+            f"{_json_key(k)}: {_json(v, inner)}"
+            for k, v in sorted(o.items())) + indent + "}" if o else "{}"
+    raise TypeError(f"Object of type {type(o).__name__} "
+                    f"is not JSON serializable")
+
+
+def _json_key(k):
+    """A report's keys are strings."""
+    if not isinstance(k, str):
+        raise TypeError(f"report keys must be str, not {type(k).__name__}")
+    return encode_basestring_ascii(k)
+
+
+def _json_pieces(report):
+    """`json.dumps(report, sort_keys=True, indent=2)` and a newline, in
+    pieces: one per entry of a dict report, and one per item of each of its
+    list values, so a report's results are rendered one record at a time."""
+    if not isinstance(report, dict) or not report:
+        yield _json(report, "\n") + "\n"
+        return
+    sep, record = "{", "\n    "
+    for k, v in sorted(report.items()):
+        yield f"{sep}\n  {_json_key(k)}: "
+        if isinstance(v, (list, tuple)) and v:
+            head = "["
+            for item in v:
+                yield head + record + _json(item, record)
+                head = ","
+            yield "\n  ]"
+        else:
+            yield _json(v, "\n  ")
+        sep = ","
+    yield "\n}\n"
+
+
 def _emit(args, report):
     """Write a JSON report, or a command's preformatted text, to --out or
     stdout.  A JSON report is the bytes of `json.dumps(report,
-    sort_keys=True, indent=2)` and a newline; `json.dump` writes them as the
-    encoder makes them, so the whole text is never held at once."""
+    sort_keys=True, indent=2)` and a newline, written a record at a time
+    (`_json_pieces`), so the whole text is never held at once."""
     with (open(args.out, "w") if args.out
           else contextlib.nullcontext(sys.stdout)) as fh:
-        if isinstance(report, str):
-            fh.write(report)
-        else:
-            json.dump(report, fh, sort_keys=True, indent=2)
-            fh.write("\n")
+        fh.writelines([report] if isinstance(report, str)
+                      else _json_pieces(report))
 
 
 def _skip(skipped, point, reason, message=None):

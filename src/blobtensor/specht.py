@@ -22,7 +22,7 @@ directly on the transposed matrices and on the parameter-swapped word model
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 from .blob import (MatrixRep, ariki_koike_checks_matrices,
@@ -69,11 +69,15 @@ def col_shape(n1, n2):
     return Shape("col", n2, n1)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Bitableau:
+    """Hashed and compared on one key, (shape kind, t1, t2), computed once:
+    the shape's sizes are those of t1 and t2."""
+
     shape: Shape
     t1: tuple
     t2: tuple
+    key: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "t1", tuple(self.t1))
@@ -84,6 +88,15 @@ class Bitableau:
             raise ValueError("component sizes do not match the shape")
         if sorted(self.t1 + self.t2) != list(range(1, n + 1)):
             raise ValueError("entries must partition 1..n")
+        object.__setattr__(self, "key", (self.shape.kind, self.t1, self.t2))
+
+    def __eq__(self, other):
+        if not isinstance(other, Bitableau):
+            return NotImplemented
+        return self.key == other.key
+
+    def __hash__(self):
+        return hash(self.key)
 
     @property
     def standard(self):

@@ -1,6 +1,8 @@
 """CLI: exit codes, report shapes, skip logic, determinism."""
 
+import contextlib
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -500,6 +502,38 @@ def test_emitted_report_bytes_are_one_json_dumps(tmp_path, capsys):
     assert capsys.readouterr().out == expect
     cli._emit(SimpleNamespace(out=None), "1,0\n")
     assert capsys.readouterr().out == "1,0\n"
+    # any report of JSON values, tuples among them, renders as json renders
+    # it; a value json cannot write raises TypeError, as in json, and so
+    # does a key that is not a string
+    text = st.text(st.characters(max_codepoint=0x2FFF,
+                                 blacklist_categories=("Cs",)), max_size=6)
+    scalar = st.one_of(st.none(), st.booleans(), st.integers(-10**20, 10**20),
+                       st.floats(allow_nan=False), text)
+    value = st.recursive(scalar, lambda inner: st.one_of(
+        st.lists(inner, max_size=4), st.tuples(inner, inner),
+        st.dictionaries(text, inner, max_size=4)), max_leaves=24)
+
+    @given(st.dictionaries(text, value, max_size=5))
+    @settings(max_examples=200, deadline=None)
+    def renders_as_json(report):
+        with contextlib.redirect_stdout(io.StringIO()) as buf:
+            cli._emit(SimpleNamespace(out=None), report)
+        assert buf.getvalue() == \
+            json.dumps(report, sort_keys=True, indent=2) + "\n"
+
+    renders_as_json()
+    for report in ({"results": [[], {}, ()], "": {"\u00e9\x00\n": -0.0}},
+                   {"a": [float("inf"), float("-inf"), float("nan"), 1e300]},
+                   {}):
+        with contextlib.redirect_stdout(io.StringIO()) as buf:
+            cli._emit(SimpleNamespace(out=None), report)
+        assert buf.getvalue() == \
+            json.dumps(report, sort_keys=True, indent=2) + "\n"
+    for bad in ({"results": [{1, 2}]}, {"a": {"b": object()}}, {(1,): 2},
+                {"a": {2: None}}):
+        with pytest.raises(TypeError), \
+                contextlib.redirect_stdout(io.StringIO()):
+            cli._emit(SimpleNamespace(out=None), bad)
 
 
 def test_duality_n1_runs_existing_relations_only(tmp_path):

@@ -7,13 +7,16 @@ from functools import lru_cache, reduce
 import pytest
 
 import blobtensor.tensor as tensor_module
-from blobtensor import weightmod
+from blobtensor import relations, weightmod
+from blobtensor.blob import verify_blob_relations
 from blobtensor.linalg import vec_sub
+from blobtensor.relations import RelationCheck, ariki_koike_relations
 from blobtensor.scalars import BlobParams, context
-from blobtensor.tensor import (LinOp, all_words, op_S_ctx, op_T_ctx,
+from blobtensor.tensor import (LinOp, all_words, certify_tables,
+                               evaluate_on_support, op_S_ctx, op_T_ctx,
                                op_T_inv_ctx, op_theta_varpi_ctx, op_X_ctx,
-                               ops_Xk_ctx, verify_ariki_koike,
-                               verify_blob_identity,
+                               ops_Xk_ctx, two_letter_table,
+                               verify_ariki_koike, verify_blob_identity,
                                verify_partial_rotation_fixing,
                                weight_words)
 from blobtensor.weightmod import module_blocks
@@ -126,6 +129,176 @@ def test_blob_identity(params):
     n, ctx = params.n, context(params)
     checks = verify_blob_identity(n, ctx, module_blocks(n, ctx))
     assert all(c.ok for c in checks)
+
+
+LOCAL_SUITES = (verify_ariki_koike, verify_blob_relations)
+
+
+def _on_full_blocks(monkeypatch, suite, n, ctx, blocks):
+    """The suite with its certificate refused: every relation evaluated on
+    the full blocks."""
+    with monkeypatch.context() as patch:
+        patch.setattr(tensor_module, "certify_tables", lambda *args: False)
+        return suite(n, ctx, blocks)
+
+
+def _fresh_caches(monkeypatch):
+    """Fresh block-table and module caches, so that blocks are built with
+    whatever operators the test has patched in."""
+    monkeypatch.setattr(weightmod, "block_operators",
+                        lru_cache(maxsize=None)(weightmod.BlockOperators))
+    monkeypatch.setattr(weightmod, "weight_module",
+                        lru_cache(maxsize=None)(weightmod.WeightModule))
+
+
+def test_U_table_is_T_table_minus_q():
+    for ctx in (C2, context(BlobParams(4, 5, 2))):
+        t, u = two_letter_table("T", ctx), two_letter_table("U", ctx)
+        assert u == {"11": {}, "12": {"21": ctx.one, "12": -ctx.qinv},
+                     "21": {"12": ctx.one, "21": -ctx.q}, "22": {}}
+        for pair in t:
+            diff = dict(t[pair])
+            diff[pair] = diff.get(pair, ctx.zero) - ctx.q
+            assert {w: c for w, c in diff.items() if not c.is_zero()} == \
+                u[pair]
+    with pytest.raises(ValueError, match="no two-letter table"):
+        two_letter_table("X", C2)
+
+
+@pytest.mark.parametrize("l", [0, 5, 7])
+def test_relations_on_their_support_read_as_on_the_full_blocks(monkeypatch,
+                                                               l):
+    # every block matrix is its table, and deciding the local relations on
+    # their support gives the verdicts the full blocks give
+    for n in range(2, 7):
+        ctx = context(BlobParams(n, l, 2))
+        blocks = list(module_blocks(n, ctx))
+        names = set(blocks[0][1])
+        assert certify_tables(blocks, n, ctx, names), n
+        assert not certify_tables(blocks[1:], n, ctx, names), n
+        assert not certify_tables(blocks + blocks[:1], n, ctx, names), n
+        for suite in LOCAL_SUITES:
+            checks = suite(n, ctx, blocks)
+            assert checks and all(c.ok for c in checks), n
+            assert checks == _on_full_blocks(monkeypatch, suite, n, ctx,
+                                             blocks), n
+            with pytest.raises(ValueError, match="no block"):
+                suite(n, ctx, iter(()))
+
+
+def test_entry_reading_a_third_letter_fails_the_certificate(monkeypatch):
+    # negative control: one entry of T_3 off by one on M_5(1), so T_3 reads
+    # the letters outside (2, 3); the certificate fails, and the suite
+    # evaluates every relation once on the full blocks, as before, naming
+    # the word of the perturbed column
+    n, target, image = 5, "21211", "22111"
+    ctx = context(BlobParams(n, 5, 2))
+    real = weightmod.op_T_ctx
+
+    def op_T(i, n_, ctx_):
+        op = real(i, n_, ctx_)
+        if i != 3:
+            return op
+
+        def rule(w):
+            out = dict(op.apply_word(w))
+            if w == target:
+                out[image] = out[image] + ctx_.one
+            return out
+
+        return LinOp(n_, ctx_, rule, name=op.name)
+
+    _fresh_caches(monkeypatch)
+    monkeypatch.setattr(weightmod, "op_T_ctx", op_T)
+    blocks = list(module_blocks(n, ctx))
+    assert not certify_tables(blocks, n, ctx, set(blocks[0][1]))
+    calls = []
+    evaluate = tensor_module.evaluate
+    monkeypatch.setattr(tensor_module, "evaluate", lambda rels, b, one: (
+        calls.append((len(rels), b)) or evaluate(rels, b, one)))
+    checks = verify_ariki_koike(n, ctx, blocks)
+    assert calls == [(len(checks), blocks)]
+    failed = {c.name: c.first_failure for c in checks if not c.ok}
+    assert failed["quadratic(T3)"] == target
+    assert "quadratic(T2)" not in failed
+
+
+def test_the_shifted_generators_are_certified_too():
+    # quadratic(T4) is decided as quadratic(T2) on the words u 111: with
+    # one entry of T2 off by one, the certificate must read T2 as well, and
+    # fail, so that quadratic(T4) holds as it does on the full blocks
+    n, ctx = 5, context(BlobParams(5, 5, 2))
+    rel = ariki_koike_relations(["T4"], ctx, identity=False)[0]
+    blocks = []
+    for basis, mats in module_blocks(n, ctx):
+        if "11111" in basis:
+            t2 = [dict(col) for col in mats["T2"]]
+            t2[0][0] = t2[0][0] + ctx.one
+            mats = {**mats, "T2": t2}
+        blocks.append((basis, mats))
+    assert rel.name == "quadratic(T4)"
+    assert evaluate_on_support([rel], n, ctx, blocks) == \
+        [RelationCheck("quadratic(T4)", True)]
+
+
+@pytest.mark.parametrize("l", [0, 5, 7])
+def test_perturbed_T_table_fails_on_its_support(monkeypatch, l):
+    # negative control: the T table gains '21' -> '21' at every position;
+    # each block matrix is still its (perturbed) table, so the certificate
+    # passes, the local relations fail, and the verdicts and the padded
+    # witnesses are those the full blocks give
+    real = tensor_module.two_letter_table
+
+    def table(kind, ctx):
+        out = real(kind, ctx)
+        if kind == "T":
+            out["21"] = {"12": ctx.one, "21": ctx.one}
+        return out
+
+    monkeypatch.setattr(tensor_module, "two_letter_table", table)
+    for n in range(2, 7):
+        _fresh_caches(monkeypatch)
+        ctx = context(BlobParams(n, l, 2))
+        blocks = list(module_blocks(n, ctx))
+        assert certify_tables(blocks, n, ctx, set(blocks[0][1])), n
+        failed = {}
+        for suite in LOCAL_SUITES:
+            checks = suite(n, ctx, blocks)
+            assert checks == _on_full_blocks(monkeypatch, suite, n, ctx,
+                                             blocks), n
+            failed.update((c.name, c.first_failure) for c in checks
+                          if not c.ok)
+        local = failed["quadratic(T2)"]
+        assert len(local) == n and local[2:] == "1" * (n - 2)
+        for i in range(2, n + 1):
+            assert failed[f"quadratic(T{i})"] == \
+                "1" * (i - 2) + local[:2] + "1" * (n - i), (n, i)
+            assert f"squared(U{i - 1})" in failed, (n, i)
+        assert not any(name.startswith("commute(T") for name in failed)
+
+
+def test_local_relations_need_fewer_products(monkeypatch):
+    # products made by the evaluator at n = 6, l = 5, m = 2: on the full
+    # blocks the Ariki-Koike suite needs 399 and the blob relations 308;
+    # on their support, V^(x)2 and V^(x)3 included, far fewer
+    n, ctx = 6, context(BlobParams(6, 5, 2))
+    blocks = list(module_blocks(n, ctx))
+    made = []
+    mat_mul = relations.mat_mul
+    monkeypatch.setattr(relations, "mat_mul",
+                        lambda a, b: made.append(1) or mat_mul(a, b))
+
+    def products(run):
+        made.clear()
+        run()
+        return len(made)
+
+    assert [products(lambda: _on_full_blocks(monkeypatch, suite, n, ctx,
+                                             blocks))
+            for suite in LOCAL_SUITES] == [399, 308]
+    local = [products(lambda: suite(n, ctx, blocks))
+             for suite in LOCAL_SUITES]
+    assert local[0] <= 155 and local[1] <= 96, local
 
 
 def _rotation_checks(n, ctx):
