@@ -4,15 +4,13 @@ Basis vectors of V^(x)n are words over {1, 2}, written as strings ('112' is
 v1 (x) v1 (x) v2).  T_i, T_i^-1 and S_i act as id (x) R (x) id on the
 letters at positions (i-1, i), and U_i = T_{i+1} - q (i >= 1) on (i, i+1);
 each R is stated once, as a table of the images of '11', '12', '21' and
-'22' (`two_letter_table`), which the operators (`op_T_ctx`, `op_T_inv_ctx`,
-`op_S_ctx`) and the locality certificate (`certify_tables`) read; varpi and
-theta are rules on whole words (`op_varpi_ctx`, `op_theta_ctx`).  Each
-operator is kept lazily in a `LinOp` and applied by linearity; matrices are
-only materialized on weight subspaces, never on the full 2^n-dimensional
-space.  The lazy composites (`op_X_ctx`, `ops_Xk_ctx`) are the word-level
-reference: the relation suites check the blocks they are handed, for
-V^(x)n those of `weightmod.module_blocks`, which takes them from the weight
-modules and the block operator tables, and decide the relations among
+'22' (`two_letter_table`), and lifted once, by `table_matrix` (index
+lookups on a basis), for the lazy operators (`op_T_ctx`, `op_T_inv_ctx`,
+`op_S_ctx`), the blocks and the locality certificate (`certify_tables`);
+varpi and theta are rules on whole words (`op_varpi_ctx`, `op_theta_ctx`).
+The lazy `LinOp` composites (`op_X_ctx`, `ops_Xk_ctx`) are the word-level
+reference.  The relation suites check the blocks they are handed (for
+V^(x)n, `weightmod.module_blocks`) and decide the relations among
 id (x) R (x) id operators on their support (`evaluate_on_support`).
 
 Conventions:
@@ -145,14 +143,19 @@ def two_letter_table(kind, ctx):
                 "22": {"22": q}}
     if kind != "U":
         raise ValueError(f"no two-letter table for {kind!r}")
-    table = {}
-    for pair, image in two_letter_table("T", ctx).items():
-        image = dict(image)
-        c = image.pop(pair, ctx.zero) - q
+    table, minus_q = two_letter_table("T", ctx), -q
+    for pair, image in table.items():
+        c = image.pop(pair, ctx.zero) + minus_q
         if not c.is_zero():
             image[pair] = c
-        table[pair] = image
     return table
+
+
+class _Words(dict):
+    """Words at their positions; a word it does not hold stands at itself."""
+
+    def __missing__(self, w):
+        return w
 
 
 def _lift(i, n, ctx, kind):
@@ -160,16 +163,9 @@ def _lift(i, n, ctx, kind):
     acting on the letters at positions (i-1, i)."""
     if not 2 <= i <= n:
         raise ValueError(f"index {i} out of range 2..{n}")
-    table = two_letter_table(kind, ctx)
-
-    def rule(w):
-        pair = w[i - 2:i]
-        out = {}
-        for ab, c in table[pair].items():
-            out[w if ab == pair else w[:i - 2] + ab + w[i:]] = c
-        return out
-
-    return LinOp(n, ctx, rule, name=f"{kind[0]}{i}{kind[1:]}")
+    symbol = f"{kind[0]}{i}{kind[1:]}"
+    return LinOp(n, ctx, lambda w: table_matrix(
+        symbol, (w,), _Words(), ctx)[0], name=symbol)
 
 
 def op_T_ctx(i, n, ctx):
@@ -250,6 +246,25 @@ def _letters(symbol):
     return None if offset is None or i < offset else (kind, i - offset)
 
 
+def table_matrix(symbol, basis, index, ctx):
+    """The one lift of the tables: the matrix of a generator acting as
+    id (x) R (x) id on two letters ('T3', 'T3^-1', 'S3', 'U2') on a basis
+    of words at the positions `index`; ArithmeticError if an image leaves."""
+    kind, a = _letters(symbol)
+    table, cols = two_letter_table(kind, ctx), []
+    for w in basis:
+        pair, col = w[a:a + 2], {}
+        for ab, c in table[pair].items():
+            u = w if ab == pair else w[:a] + ab + w[a + 2:]
+            try:
+                col[index[u]] = c
+            except KeyError:
+                raise ArithmeticError(
+                    f"{symbol} leaves the basis span at {w} -> {u}") from None
+        cols.append(col)
+    return cols
+
+
 def _symbols(rel):
     return [a for side in (rel.lhs, rel.rhs) for _, factors in side
             for w, _ in factors for a in w]
@@ -292,20 +307,16 @@ def certify_tables(blocks, n, ctx, names):
     """Do the blocks' bases hold every word of V^(x)n once, and is every
     matrix named in `names` and T_i, T_i^-1, S_i or U_i (i >= 1) its
     two-letter table at its letters, with the other letters unchanged?
-    Checked column by column: O(nnz), no product."""
+    Each is compared with `table_matrix`: O(nnz), no product."""
     if sorted(w for basis, _ in blocks for w in basis) != all_words(n):
         return False
     for basis, mats in blocks:
-        index = {w: j for j, w in enumerate(basis)}
+        # a word outside the block keys a column by itself, which then fails
+        index = _Words((w, j) for j, w in enumerate(basis))
         for name, mat in mats.items():
-            place = _letters(name)
-            if place is None or name not in names:
+            if name not in names or _letters(name) is None:
                 continue
-            kind, a = place
-            table = two_letter_table(kind, ctx)
-            if mat != [{index.get(w[:a] + ab + w[a + 2:]): c
-                        for ab, c in table[w[a:a + 2]].items()}
-                       for w in basis]:
+            if mat != table_matrix(name, basis, index, ctx):
                 return False
     return True
 

@@ -32,8 +32,7 @@ from .linalg import (SpanSolver, certified_rank, invariant_closure, mat_mul,
                      mat_scale, mat_sub_scalar_diag, mat_vec, span_rank,
                      vec_add_scaled, vec_scale, vec_sub)
 from .scalars import FieldContext, context, residues_equal
-from .tensor import (op_S_ctx, op_T_ctx, op_T_inv_ctx, op_theta_ctx,
-                     weight_words)
+from .tensor import op_theta_ctx, table_matrix, weight_words
 
 
 # ---------------------------------------------------------------------------
@@ -85,30 +84,26 @@ def weight_basis(n, lam):
 
 class BlockOperators:
     """The operators of the block M_n(lam) that depend on q alone, on its
-    weight basis: T_i (i = 2..n) from its two-letter table,
-    U_i = T_{i+1} - q (i = 1..n-1), and P = T_2^-1 ... T_n^-1 theta, so that
-    X = P varpi.  For P, T_i^-1 = T_i - (q - q^-1) is taken by the quadratic
-    relation and theta from its rule, and both are dropped; the tables and
-    rules run in a context without lambda1 and lambda2, so none of these can
-    read them."""
+    weight basis: T_i (i = 2..n) and U_i (i = 1..n-1) from their own tables
+    (`table_matrix`), and P = T_2^-1 ... T_n^-1 theta, so that X = P varpi.
+    For P, T_i^-1 = T_i - (q - q^-1) is taken by the quadratic relation and
+    theta from its rule, and both are dropped; all run in a context without
+    lambda1 and lambda2, so none of these can read them."""
 
     def __init__(self, n, lam, field):
         self.n = n
         self.ctx = FieldContext(field, None, None)
         self.basis = weight_basis(n, lam)
         self.index = {w: i for i, w in enumerate(self.basis)}
-        self.T = self._matrices(op_T_ctx)
-        self.U = [mat_sub_scalar_diag(t, field.q) for t in self.T.values()]
+        self.T = {i: table_matrix(f"T{i}", self.basis, self.index, self.ctx)
+                  for i in range(2, n + 1)}
+        self.U = [table_matrix(f"U{i}", self.basis, self.index, self.ctx)
+                  for i in range(1, n)]
         d = self.ctx.q_minus_qinv
         p = op_theta_ctx(n, self.ctx).matrix(self.basis)
         for i in range(n, 1, -1):
             p = mat_mul(mat_sub_scalar_diag(self.T[i], d), p)
         self.P = p
-
-    def _matrices(self, op):
-        """{i: the matrix of op(i, n)} for i = 2..n, from its table."""
-        return {i: op(i, self.n, self.ctx).matrix(self.basis)
-                for i in range(2, self.n + 1)}
 
 
 # keyed by the field, not by the context: every context of one field (a
@@ -183,22 +178,21 @@ def module_residues(module, modular):
 def module_blocks(n, ctx):
     """(basis, matrices) blocks of V^(x)n for `relations.evaluate`, the one
     block builder of the relation suites, called once per verify-relations
-    point: one per cached M_n(lam), lam in Lambda_n, whose bases partition
-    the words because every operator keeps the weight.  The matrices are
-    named X, T2 .. Tn, U0 .. U{n-1}, T2^-1 .. Tn^-1, S2 .. Sn and theta;
-    X and U0 are the module's, T_i and U_i (i >= 1) the block operator
-    table's, and the rest are built here for this point only, T_i^-1 from
-    its own table, so that two_sided_inverse checks that table against
-    T_i."""
+    point: one per cached M_n(lam), lam in Lambda_n (the bases partition the
+    words, since every operator keeps the weight).  The matrices are X,
+    T2 .. Tn, U0 .. U{n-1}, T2^-1 .. Tn^-1, S2 .. Sn and theta: X and U0 the
+    module's, T_i and U_i (i >= 1) the block operator table's, and for this
+    point only T_i^-1 and S_i from their own tables (`table_matrix`, so that
+    two_sided_inverse checks the T^-1 table against T_i) and theta."""
     for lam in lambda_range(n):
         module = weight_module(n, lam, ctx)
         ops = block_operators(n, lam, ctx.field)
         basis = module.basis
-        t_inv, s = ops._matrices(op_T_inv_ctx), ops._matrices(op_S_ctx)
         mats = {f"U{i}": u for i, u in enumerate(module.U)}
         for i in range(2, n + 1):
-            mats[f"T{i}"], mats[f"T{i}^-1"], mats[f"S{i}"] = \
-                ops.T[i], t_inv[i], s[i]
+            mats[f"T{i}"] = ops.T[i]
+            for symbol in (f"T{i}^-1", f"S{i}"):
+                mats[symbol] = table_matrix(symbol, basis, ops.index, ops.ctx)
         mats["X"] = module.x
         mats["theta"] = op_theta_ctx(n, ops.ctx).matrix(basis)
         yield basis, mats

@@ -186,6 +186,21 @@ def test_relations_on_their_support_read_as_on_the_full_blocks(monkeypatch,
                 suite(n, ctx, iter(()))
 
 
+def test_a_block_not_closed_under_a_generator_fails_the_certificate():
+    # the bases still hold every word once, but M_3(1) is cut in two, so
+    # T2 sends 211 to 121 across the cut: the certificate fails, it does
+    # not raise
+    ctx = context(BlobParams(3, 5, 2))
+    blocks = []
+    for basis, mats in module_blocks(3, ctx):
+        if basis[0] == "211":
+            blocks += [(basis[:1], {"T2": [{}]}),
+                       (basis[1:], {"T2": [{}, {}]})]
+        else:
+            blocks.append((basis, mats))
+    assert not certify_tables(blocks, 3, ctx, {"T2"})
+
+
 def test_entry_reading_a_third_letter_fails_the_certificate(monkeypatch):
     # negative control: one entry of T_3 off by one on M_5(1), so T_3 reads
     # the letters outside (2, 3); the certificate fails, and the suite
@@ -193,23 +208,17 @@ def test_entry_reading_a_third_letter_fails_the_certificate(monkeypatch):
     # the word of the perturbed column
     n, target, image = 5, "21211", "22111"
     ctx = context(BlobParams(n, 5, 2))
-    real = weightmod.op_T_ctx
+    real = weightmod.table_matrix
 
-    def op_T(i, n_, ctx_):
-        op = real(i, n_, ctx_)
-        if i != 3:
-            return op
-
-        def rule(w):
-            out = dict(op.apply_word(w))
-            if w == target:
-                out[image] = out[image] + ctx_.one
-            return out
-
-        return LinOp(n_, ctx_, rule, name=op.name)
+    def build(symbol, basis, index, ctx_):
+        mat = real(symbol, basis, index, ctx_)
+        if symbol == "T3" and target in index:
+            col = mat[index[target]]
+            col[index[image]] = col[index[image]] + ctx_.one
+        return mat
 
     _fresh_caches(monkeypatch)
-    monkeypatch.setattr(weightmod, "op_T_ctx", op_T)
+    monkeypatch.setattr(weightmod, "table_matrix", build)
     blocks = list(module_blocks(n, ctx))
     assert not certify_tables(blocks, n, ctx, set(blocks[0][1]))
     calls = []
@@ -378,7 +387,7 @@ def test_perturbed_S_fails_at_the_lazy_chains_word(monkeypatch, n, l):
     # one coefficient of one word of one S_r off by one: the block
     # recurrence names the same failing (j, p) and word as the lazy chain
     ctx = context(BlobParams(n, l, 2))
-    real = tensor_module.op_S_ctx
+    real, real_matrix = tensor_module.op_S_ctx, weightmod.table_matrix
     cases = [(r, target) for r in (2, 4, n)
              for target in (all_words(n)[3], all_words(n)[-6])]
     failing = 0
@@ -397,10 +406,19 @@ def test_perturbed_S_fails_at_the_lazy_chains_word(monkeypatch, n, l):
 
             return LinOp(n_, ctx_, rule, name=op.name)
 
-        # the block operator tables build S from weightmod's binding; a
-        # fresh table cache per case builds them with this case's S
+        def build(symbol, basis, index, ctx_, r=r, target=target):
+            mat = real_matrix(symbol, basis, index, ctx_)
+            if symbol == f"S{r}" and target in index:
+                col = mat[index[target]]
+                u = index[min(basis[j] for j in col)]
+                col[u] = col[u] + ctx_.one
+            return mat
+
+        # the lazy chain perturbs S through tensor's binding, the blocks
+        # through weightmod's binding of the block builder; module_blocks
+        # builds S on every call, and the caches stay fresh all the same
         monkeypatch.setattr(tensor_module, "op_S_ctx", op_S)
-        monkeypatch.setattr(weightmod, "op_S_ctx", op_S)
+        monkeypatch.setattr(weightmod, "table_matrix", build)
         monkeypatch.setattr(weightmod, "block_operators",
                             lru_cache(maxsize=None)(weightmod.BlockOperators))
         checks = [(c.name, c.ok, c.first_failure)
@@ -434,11 +452,20 @@ def test_j2_residual_off_position_p_fails(monkeypatch, n, p, l):
         return LinOp(n_, ctx_, lambda w: {**op.apply_word(w), u: ctx_.one}
                      if w == v else op.apply_word(w), name=op.name)
 
+    real_matrix = weightmod.table_matrix
+
+    def build(symbol, basis, index, ctx_):
+        mat = real_matrix(symbol, basis, index, ctx_)
+        if symbol == f"T{p + 1}^-1" and v in index:
+            mat[index[v]][index[u]] = ctx_.one
+        return mat
+
     monkeypatch.setattr(tensor_module, "op_T_inv_ctx", op_T_inv)
-    # module_blocks builds T^-1 from weightmod's binding on every call, and
-    # the tables form X from T by the quadratic relation, so the perturbed
-    # table reaches R_p but not X; the caches stay fresh all the same
-    monkeypatch.setattr(weightmod, "op_T_inv_ctx", op_T_inv)
+    # module_blocks builds T^-1 through weightmod's binding of the block
+    # builder on every call, and the tables form X from T by the quadratic
+    # relation, so the perturbed table reaches R_p but not X; the caches
+    # stay fresh all the same
+    monkeypatch.setattr(weightmod, "table_matrix", build)
     monkeypatch.setattr(weightmod, "block_operators",
                         lru_cache(maxsize=None)(weightmod.BlockOperators))
     monkeypatch.setattr(weightmod, "weight_module",

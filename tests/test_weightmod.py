@@ -6,11 +6,12 @@ from math import comb
 
 import pytest
 
-from blobtensor import specht, towers, weightmod
+from blobtensor import specht, tensor, towers, weightmod
 from blobtensor.blob import dualize, verify_relation_suite
 from blobtensor.cli import main
 from blobtensor.linalg import (SpanSolver, mat_is_zero, mat_mul,
-                               mat_transpose, vec_scale, vec_sub)
+                               mat_sub_scalar_diag, mat_transpose, vec_scale,
+                               vec_sub)
 from blobtensor.relations import RelationCheck
 from blobtensor.scalars import BlobParams, context, residues_equal
 from blobtensor.tensor import LinOp, all_words, op_T_ctx, op_X_ctx
@@ -217,7 +218,12 @@ def test_block_tables_keep_only_T_U_and_P(monkeypatch, tmp_path):
     # T^-1, S and theta stay off the tables on every command: keeping T^-1
     # there raised the peak memory of restrict, and module_blocks builds
     # its own for each verify-relations point
+    # and every block matrix but theta comes straight from its table, not
+    # through LinOp.matrix
     out = str(tmp_path / "report.json")
+    lazy, matrix = [], LinOp.matrix
+    monkeypatch.setattr(LinOp, "matrix", lambda op, basis: (
+        lazy.append(op.name) or matrix(op, basis)))
     for argv in (["adjointness", "--n", "6", "--lambda", "0"],
                  ["restrict", "--n", "6", "--lambda", "all"],
                  ["verify-relations", "--n", "4"]):
@@ -227,6 +233,7 @@ def test_block_tables_keep_only_T_U_and_P(monkeypatch, tmp_path):
         assert all(vars(t).keys() == {"n", "ctx", "basis", "index", "T",
                                       "U", "P"} for t in tables), argv
     assert len(tables) == len(lambda_range(4))
+    assert set(lazy) == {"theta"}
 
 
 def test_swapped_context_shares_the_table():
@@ -268,6 +275,30 @@ def test_each_field_gets_its_own_table():
     assert len({id(t) for t in tables}) == len(tables)
 
 
+def test_block_U_reads_its_own_table(monkeypatch):
+    # U_i is built from U's table, not copied from T_{i+1} - q: a U table
+    # that also fixes '11' reaches every U_i of the block tables, and T not
+    real = tensor.two_letter_table
+
+    def table(kind, ctx):
+        out = real(kind, ctx)
+        if kind == "U":
+            out["11"] = {"11": ctx.one}
+        return out
+
+    monkeypatch.setattr(tensor, "two_letter_table", table)
+    _fresh_tables(monkeypatch)
+    ctx = context(BlobParams(5, 5, 2))
+    for lam in lambda_range(5):
+        ops = weightmod.block_operators(5, lam, ctx.field)
+        for i, u in enumerate(ops.U, 1):
+            expected = mat_sub_scalar_diag(ops.T[i + 1], ctx.q)
+            for j, w in enumerate(ops.basis):
+                if w[i - 1:i + 1] == "11":
+                    expected[j] = {j: ctx.one}
+            assert u == expected, (lam, i)
+
+
 @pytest.mark.parametrize("l", [0, 5])
 def test_perturbed_T_inv_table_fails_only_its_own_checks(monkeypatch, l):
     # negative control: the tables form X from T by the quadratic relation,
@@ -275,17 +306,16 @@ def test_perturbed_T_inv_table_fails_only_its_own_checks(monkeypatch, l):
     # the partial rotations R_p, built from T^-1) but no other check
     n, target = 5, "11211"
     ctx = context(BlobParams(n, l, 2))
-    real = weightmod.op_T_inv_ctx
+    real = weightmod.table_matrix
 
-    def op_T_inv(i, n_, ctx_):
-        op = real(i, n_, ctx_)
-        if i != 3:
-            return op
-        return LinOp(n_, ctx_, lambda w: {**op.apply_word(w), w: ctx_.one}
-                     if w == target else op.apply_word(w), name=op.name)
+    def build(symbol, basis, index, ctx_):
+        mat = real(symbol, basis, index, ctx_)
+        if symbol == "T3^-1" and target in index:
+            mat[index[target]][index[target]] = ctx_.one
+        return mat
 
     _fresh_tables(monkeypatch)
-    monkeypatch.setattr(weightmod, "op_T_inv_ctx", op_T_inv)
+    monkeypatch.setattr(weightmod, "table_matrix", build)
     checks = verify_relation_suite(n, ctx, module_blocks(n, ctx))
     failed = {c.name: c.first_failure for c in checks if not c.ok}
     assert failed["two_sided_inverse(T3)"] == target
@@ -325,19 +355,19 @@ def test_localize_extremes_vanish():
 
 
 def test_localize_extremes_fail_on_a_nonzero_U(monkeypatch, tmp_path):
-    # raise g_{n-1} from q to q + 1 on the constant words, the bases of
-    # M_n(+-n): then U_{n-1} = 1 there, e != 0 and the point must fail
-    real = weightmod.op_T_ctx
+    # raise U_{n-1} from 0 to 1 on the constant words, the bases of
+    # M_n(+-n): then e != 0 there and the point must fail
+    real = weightmod.table_matrix
 
-    def op_T(i, n, ctx):
-        op = real(i, n, ctx)
-        if i != n:
-            return op
-        return LinOp(n, ctx, lambda w: {w: ctx.q + ctx.one}
-                     if len(set(w)) == 1 else op.apply_word(w),
-                     name=op.name)
+    def build(symbol, basis, index, ctx):
+        mat = real(symbol, basis, index, ctx)
+        if symbol == f"U{len(basis[0]) - 1}":
+            for j, w in enumerate(basis):
+                if len(set(w)) == 1:
+                    mat[j] = {j: ctx.one}
+        return mat
 
-    monkeypatch.setattr(weightmod, "op_T_ctx", op_T)
+    monkeypatch.setattr(weightmod, "table_matrix", build)
     monkeypatch.setattr(weightmod, "block_operators",
                         lru_cache(maxsize=None)(weightmod.BlockOperators))
     monkeypatch.setattr(weightmod, "weight_module",
